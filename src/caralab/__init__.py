@@ -22,6 +22,7 @@ from .annulus import (
     AnnulusConfig,
     AnnulusDomainError,
     BracketOrderError,
+    CoveringBranchError,
     DistanceBracket,
     annulus_distance_bracket,
     annulus_lower_bound,
@@ -68,6 +69,7 @@ __all__ = [
     "BlaschkeProduct",
     "BoundConstants",
     "BracketOrderError",
+    "CoveringBranchError",
     "DiskDomainError",
     "DistanceBracket",
     "EvaluationEscapeError",

@@ -11,12 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .disk import EPS_BOUNDARY, BlaschkeProduct, _ONE_MINUS, mobius_distance
+from .disk import EPS_BOUNDARY, _ONE_MINUS, mobius_distance
 
 
 class AnnulusDomainError(ValueError):
@@ -29,6 +28,10 @@ class BracketOrderError(RuntimeError):
     The two bounds are mathematically ordered, so this signals a bug rather
     than a bad input; it is never silently clamped away.
     """
+
+
+class CoveringBranchError(RuntimeError):
+    """The covering map's Log argument left the right half-plane (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,14 @@ def covering_map(cfg: AnnulusConfig, z: complex) -> complex:
 
     Computed as sqrt(R) * exp(-(i/pi) * ln R * Log((1-z)/(1+z))) with the
     principal Log.  (1-z)/(1+z) has strictly positive real part on the disk,
-    so the principal branch never meets its cut; asserted at runtime.
+    so the principal branch never meets its cut; checked at runtime.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise AnnulusDomainError(f"covering map argument must satisfy |z| < 1, got {abs(z)!r}")
     u = (1.0 - z) / (1.0 + z)
     if u.real <= 0.0:
-        raise AssertionError(f"principal-branch safety violated at z = {z!r}")
+        raise CoveringBranchError(f"principal-branch safety violated at z = {z!r}")
     return cfg.sqrt_R * cmath.exp(-1j / math.pi * cfg.log_R * cmath.log(u))
 
 
@@ -134,7 +137,13 @@ def preimage_modulus_sq_formula(ms: np.ndarray) -> np.ndarray:
     return (1.0 - s) / (1.0 + s)
 
 
-def _lifts_with_index(cfg: AnnulusConfig, w: complex) -> List[Tuple[int, complex]]:
+def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
+    """All float-representable covering-map lifts of w within the deck range.
+
+    Inverts the strip construction with log-branch shifts 2*pi*i*k for
+    |k| <= lift_range; every returned z satisfies covering_map(z) = w to
+    high relative accuracy.
+    """
     w = _as_annulus_point(cfg, w)
     u = math.log(abs(w)) - 0.5 * cfg.log_R
     theta0 = cmath.phase(w)
@@ -149,132 +158,122 @@ def _lifts_with_index(cfg: AnnulusConfig, w: complex) -> List[Tuple[int, complex
         # round-trips through the covering map, so the returned list is
         # self-certifying.
         if abs(z) <= 1.0 - EPS_BOUNDARY and abs(covering_map(cfg, z) - w) <= 1e-10 * abs(w):
-            out.append((k, z))
+            out.append(z)
     return out
-
-
-def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
-    """All float-representable covering-map lifts of w within the deck range.
-
-    Inverts the strip construction with log-branch shifts 2*pi*i*k for
-    |k| <= lift_range; every returned z satisfies covering_map(z) = w to
-    high relative accuracy.
-    """
-    return [z for _, z in _lifts_with_index(cfg, w)]
 
 
 # ---------------------------------------------------------------------------
 # Lower bounds: explicit holomorphic test maps A(R) -> D.
 # ---------------------------------------------------------------------------
 
-def _squash(u: complex) -> complex:
-    # R^2 -> D, radially: |result| < 1 always; used to keep optimizer zeros legal.
-    return u / (1.0 + abs(u)) * (1.0 - 1e-9)
+# The prime function needs about 20 / ln R terms; past this cap (R below
+# about 1.02) the lower bound keeps the radial quotients only.
+_MAX_PRIME_TERMS = 1000
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _unsquash(z: complex) -> complex:
-    r = abs(z)
-    if r >= 1.0:
-        raise ValueError("unsquash argument must lie in the open disk")
-    return z / (1.0 - r)
+class MinimizeResult(NamedTuple):
+    x: float
+    fun: float
+    nfev: int
 
 
-def _mixed_product(zeros_outer: np.ndarray, zeros_inner: np.ndarray, R: float, w: complex) -> complex:
-    """B1(w/R) * B2(1/w) with Blaschke zero arrays for the two base maps."""
-    v = 1.0 + 0.0j
-    x = w / R
-    for z in zeros_outer:
-        v *= (x - z) / (1.0 - np.conj(z) * x)
-    y = 1.0 / w
-    for z in zeros_inner:
-        v *= (y - z) / (1.0 - np.conj(z) * y)
-    return v
+def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+             xtol: float = 1e-8) -> MinimizeResult:
+    """Minimize a vectorized 1-D function: the best point of an evenly spaced
+    grid brackets a golden-section search between its two neighbours.  The
+    result is the best point evaluated, never worse than the grid's best."""
+    values = fun(grid)
+    j = int(np.argmin(values))
+    x, f, nfev = float(grid[j]), float(values[j]), len(grid)
+
+    def evaluate(t: float) -> float:
+        nonlocal x, f, nfev
+        v = float(fun(np.array([t]))[0])
+        nfev += 1
+        if v < f:
+            x, f = t, v
+        return v
+
+    step = float(grid[1] - grid[0])
+    lo, hi = x - step, x + step
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = evaluate(c), evaluate(d)
+    while hi - lo > xtol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = evaluate(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = evaluate(d)
+    return MinimizeResult(x, f, nfev)
 
 
-def _optimizer_seeds(cfg: AnnulusConfig, n_zeros: int) -> List[np.ndarray]:
-    g = cfg.grid_density
-    seeds = []
-    for i in range(g):
-        r = (i + 1) / (g + 1)
-        u = r / (1.0 - r)
-        for j in range(g):
-            theta = 2.0 * math.pi * j / g
-            p = np.empty(2 * n_zeros)
-            p[0::2] = u * math.cos(theta)
-            p[1::2] = u * math.sin(theta)
-            seeds.append(p)
-    # The seed only rotates the deterministic grid order; results for a full
-    # optimization are order-independent, but ties resolve reproducibly.
-    shift = cfg.seed % len(seeds)
-    return seeds[shift:] + seeds[:shift]
+def _prime_powers(R: float) -> Optional[np.ndarray]:
+    """q^(2k), k = 1..K, with q = 1/R and q^(2K) < 1e-17; None past the cap."""
+    K = math.ceil(math.log(1e-17) / (-2.0 * math.log(R)))
+    return R ** (-2.0 * np.arange(1, K + 1)) if K <= _MAX_PRIME_TERMS else None
+
+
+def _prime(x: np.ndarray, q2k: np.ndarray) -> np.ndarray:
+    """Annulus prime function P(x) = (1 - x) prod_k (1 - q^2k x)(1 - q^2k / x)."""
+    t = x[..., None]
+    return (1.0 - x) * np.prod((1.0 - q2k * t) * (1.0 - q2k / t), axis=-1)
+
+
+def _zero_factor(R: float, q2k: np.ndarray, zero, w: complex) -> np.ndarray:
+    """P(w/zero) / P(w conj(zero) / R^2), broadcast over zero and w.
+
+    The degree-2 proper map A(R) -> D with zeros w1, w2, |w1 w2| = R, is
+    g(w) = factor(w1) factor(w2) / w: in z = w/R, q = 1/R this is
+    q z^-1 prod_i P(z/a_i) / P(z conj(a_i)), which has |g| = 1 on both
+    boundary circles.
+    """
+    x = w / zero
+    p = _prime(np.stack([x, x * (np.abs(zero) / R) ** 2], axis=-1), q2k)
+    return p[..., 0] / p[..., 1]
 
 
 def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[float, str]:
     """Best certified lower bound for the Mobius distance C*_{A(R)}(a, b).
 
-    Maximizes mobius(f(a), f(b)) over an explicit family of holomorphic maps
-    f: A(R) -> D: the radial quotients w/R and 1/w, mixed monomials
-    w^(j-k)/R^j, and optimizer-refined products B1(w/R) * B2(1/w) of Blaschke
-    compositions.  Every family member certifies, so slack optimization never
-    invalidates the result.
+    Maximizes mobius(f(a), f(b)) over holomorphic maps f: A(R) -> D: the
+    radial quotients w/R and 1/w and, for family_degree >= 2, the degree-2
+    proper maps with one zero at a (or b) and the other on |w| = R/|a|,
+    searched over 8 * grid_density angles.  Every member certifies, so search
+    slack never invalidates the result.
     """
     a = _as_annulus_point(cfg, a, "a")
     b = _as_annulus_point(cfg, b, "b")
+    if a == b:
+        return 0.0, "trivial (identical points)"
     R = cfg.R
 
-    best = 0.0
-    witness = "trivial (identical points)" if a == b else "w/R"
+    # On a tie "w/R" wins, as it sorts after "1/w".
+    best, witness = max((mobius_distance(a / R, b / R), "w/R"),
+                        (mobius_distance(1.0 / a, 1.0 / b), "1/w"))
 
-    candidates: List[Tuple[str, Callable[[complex], complex]]] = [
-        ("w/R", lambda w: w / R),
-        ("1/w", lambda w: 1.0 / w),
-    ]
-    # Mixed monomials w^(j-k)/R^j stay in D on the annulus for j, k >= 1 and
-    # do not factor through either radial quotient, unlike pure powers.
-    for j in range(1, cfg.family_degree):
-        for k in range(1, cfg.family_degree - j + 1):
-            candidates.append(
-                (f"w^{j - k}/R^{j}", lambda w, j=j, k=k: w ** (j - k) / R ** j)
-            )
-    for label, f in candidates:
-        v = mobius_distance(f(a), f(b))
+    q2k = _prime_powers(R)
+    if cfg.family_degree < 2 or q2k is None:
+        return best, witness
+    n = 8 * cfg.grid_density
+    for zero, other in ((a, b), (b, a)):
+        rho = R / abs(zero)
+        fixed = _zero_factor(R, q2k, zero, other) / other
+
+        def objective(theta):
+            return -np.abs(fixed * _zero_factor(R, q2k, rho * np.exp(1j * theta), other))
+
+        # The grid starts at arg(other), so rotating the pair rotates the grid.
+        grid = cmath.phase(other) + 2.0 * math.pi / n * np.arange(n)
+        res = minimize(objective, grid)
+        v = min(-res.fun, _ONE_MINUS)
         if v > best:
-            best, witness = v, label
-
-    # Blaschke-composition refinement.  Compositions B(w/R) and B(1/w) alone
-    # cannot beat their base maps (they contract the Mobius distance), so the
-    # optimizer works on genuinely mixed products.
-    if cfg.family_degree >= 2:
-        for d1 in range(1, cfg.family_degree):
-            for d2 in range(1, cfg.family_degree - d1 + 1):
-
-                def objective(x, d1=d1, d2=d2):
-                    zo = np.array([_squash(complex(x[2 * i], x[2 * i + 1])) for i in range(d1)])
-                    zi = np.array(
-                        [_squash(complex(x[2 * (d1 + i)], x[2 * (d1 + i) + 1])) for i in range(d2)]
-                    )
-                    fa = _mixed_product(zo, zi, R, a)
-                    fb = _mixed_product(zo, zi, R, b)
-                    return -mobius_distance(fa, fb)
-
-                for x0 in _optimizer_seeds(cfg, d1 + d2):
-                    res = minimize(
-                        objective,
-                        x0,
-                        method="Nelder-Mead",
-                        options={"maxiter": 200, "fatol": 1e-10, "xatol": 1e-8},
-                    )
-                    v = -objective(res.x)
-                    if v > best:
-                        zs = [
-                            _squash(complex(res.x[2 * i], res.x[2 * i + 1]))
-                            for i in range(d1 + d2)
-                        ]
-                        best = v
-                        witness = (
-                            f"B1(w/R)*B2(1/w) degrees ({d1},{d2}), zeros "
-                            + ",".join(f"{z.real:.6g}{z.imag:+.6g}i" for z in zs)
-                        )
+            zeros = (zero, rho * cmath.exp(1j * res.x))
+            best, witness = v, "degree-2 proper map, zeros " + ", ".join(
+                f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
     return best, witness
 
 

@@ -18,10 +18,13 @@ from . import __version__
 from .annulus import (
     AnnulusConfig,
     AnnulusDomainError,
+    BracketOrderError,
+    CoveringBranchError,
     annulus_distance_bracket,
 )
 from .disk import DiskDomainError, poincare_distance, _atanh
 from .glued import (
+    EvaluationEscapeError,
     SpaceConfig,
     ball_inclusion_radius,
     completeness_probe,
@@ -304,6 +307,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, DiskDomainError, AnnulusDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (BracketOrderError, EvaluationEscapeError, CoveringBranchError) as exc:
+        # An internal consistency check failed: nothing was certified.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .annulus import (
     annulus_upper_bound,
     _as_annulus_point,
 )
-from .disk import BlaschkeProduct, _atanh, mobius_distance
+from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance
 from .sweeps import TWO_OVER_E, verify_one_over_e_products
 
 # Glue-index/coordinate agreement tolerance when both are supplied.
@@ -331,7 +331,8 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
             if total < best:
                 best = total
                 witness = f"glue path via exits ({i},{j})"
-    value = math.tanh(best)
+    # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
+    value = min(math.tanh(best), _ONE_MINUS)
 
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
     srt = acf.sqrt_R

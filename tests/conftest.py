@@ -8,8 +8,8 @@ from caralab import AnnulusConfig, SpaceConfig
 
 @pytest.fixture
 def acf():
-    # Small search family keeps optimizer-backed tests fast; every family
-    # member certifies regardless of family size.
+    # The acceptance and demo setting: degree-2 proper maps on a 16-angle
+    # grid.  Every family member certifies regardless of family size.
     return AnnulusConfig(R=4.0, family_degree=2, grid_density=2)
 
 

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caralab import (
     AnnulusConfig,
@@ -17,8 +20,25 @@ from caralab import (
     preimage_point,
     schwarz_pick_check,
 )
-from caralab.annulus import preimage_modulus_sq_formula
+from caralab.annulus import _prime_powers, _zero_factor, minimize, preimage_modulus_sq_formula
 from conftest import random_annulus_points
+
+
+@st.composite
+def annulus_pairs(draw, radii=(1.5, 4.0, 10.0)):
+    """(R, a, b) with a and b 2 % of the width off both boundary circles."""
+    R = draw(st.sampled_from(radii))
+
+    def point():
+        r = draw(st.floats(1.0 + 0.02 * (R - 1.0), R - 0.02 * (R - 1.0)))
+        return cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
+
+    return R, point(), point()
+
+
+def degree2_map(R, w1, w2, w):
+    q2k = _prime_powers(R)
+    return _zero_factor(R, q2k, w1, w) * _zero_factor(R, q2k, w2, w) / w
 
 
 class TestConfig:
@@ -135,6 +155,67 @@ class TestLowerBound:
                 lambda z, f=f: f(covering_map(acf, z)), lifted, eps_check=1e-9
             )
             assert ok
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    @given(r=st.floats(0.0, 1.0), t1=st.floats(-math.pi, math.pi), t2=st.floats(-math.pi, math.pi))
+    @settings(max_examples=25, deadline=None)
+    def test_degree2_map_is_unimodular_on_both_circles(self, R, r, t1, t2):
+        w1 = cmath.rect(1.0 + (0.01 + 0.98 * r) * (R - 1.0), t1)
+        w2 = cmath.rect(R / abs(w1), t2)
+        t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        for radius in (1.0, R):
+            w = radius * np.exp(1j * t)
+            assert np.max(np.abs(np.abs(degree2_map(R, w1, w2, w)) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("R, floor", [(4.0, 0.9415), (10.0, 0.7453)])
+    def test_degree2_map_on_equal_modulus_pair(self, R, floor):
+        r = math.sqrt(R)
+        br = annulus_distance_bracket(AnnulusConfig(R=R), r, 1j * r)
+        assert floor <= br.lower <= br.upper
+        assert br.lower_witness.startswith("degree-2 proper map")
+
+    @given(annulus_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_reaches_the_antipodal_placement(self, pair):
+        # Second zero on the ray opposite b: the closed-form placement.
+        R, a, b = pair
+        w2 = cmath.rect(R / abs(a), cmath.phase(b) + math.pi)
+        v, _ = annulus_lower_bound(AnnulusConfig(R=R), a, b)
+        assert v >= abs(degree2_map(R, a, w2, b)) - 1e-12
+
+    @given(annulus_pairs(radii=(1.0 + 1e-6,)))
+    @settings(max_examples=20, deadline=None)
+    def test_thin_annulus_falls_back_to_radial_quotients(self, pair):
+        R, a, b = pair
+        assert _prime_powers(R) is None
+        br = annulus_distance_bracket(AnnulusConfig(R=R), a, b)
+        assert 0.0 <= br.lower <= br.upper < 1.0
+        assert br.lower_witness in ("w/R", "1/w", "trivial (identical points)")
+
+    def test_minimize_refines_past_the_grid(self):
+        grid = 2.0 * math.pi / 16 * np.arange(16)
+        res = minimize(lambda t: -np.cos(t - 1.234), grid)
+        assert res.x == pytest.approx(1.234, abs=1e-7)
+        assert res.fun == pytest.approx(-1.0, abs=1e-14)
+        assert res.nfev > len(grid)
+
+
+class TestAutomorphismInvariance:
+    @given(annulus_pairs(), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_rotation(self, pair, phi):
+        R, a, b = pair
+        cfg, u = AnnulusConfig(R=R), cmath.exp(1j * phi)
+        for bound in (annulus_lower_bound, annulus_upper_bound):
+            assert bound(cfg, u * a, u * b)[0] == pytest.approx(bound(cfg, a, b)[0], abs=1e-12)
+
+    @given(annulus_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_inversion(self, pair):
+        R, a, b = pair
+        cfg = AnnulusConfig(R=R)
+        for bound in (annulus_lower_bound, annulus_upper_bound):
+            assert bound(cfg, R / a, R / b)[0] == pytest.approx(bound(cfg, a, b)[0], abs=1e-12)
 
 
 class TestUpperBound:

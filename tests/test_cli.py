@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from caralab.cli import EXIT_OK, EXIT_USAGE, main, render_json
+from caralab import BracketOrderError, CoveringBranchError, EvaluationEscapeError, cli
+from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
 
 FAST = [
     "--m-max", "2000", "--n-max", "8", "--family-degree", "1",
@@ -162,3 +163,27 @@ class TestGlued:
         )
         assert code == EXIT_USAGE
         assert "error:" in err
+
+
+class TestInternalErrors:
+    ANNULUS = ["annulus-distance", *FAST, "2,0", "0,2"]
+    GLUED = ["glued", "distance", *FAST, "0:2,0", "3:2,0"]
+
+    @pytest.mark.parametrize(
+        "target, argv, exc",
+        [
+            ("annulus_distance_bracket", ANNULUS, BracketOrderError("lower 0.6 exceeds upper 0.5")),
+            ("glued_distance_bracket", GLUED, BracketOrderError("lower 0.6 exceeds upper 0.5")),
+            ("glued_distance_bracket", GLUED, EvaluationEscapeError("phi[3] escaped the unit disk")),
+            ("annulus_distance_bracket", ANNULUS, CoveringBranchError("principal-branch safety")),
+        ],
+    )
+    def test_reported_in_one_line_with_exit_1(self, capsys, monkeypatch, target, argv, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_VERIFICATION_FAILURE
+        assert out == ""
+        assert err == f"error: {type(exc).__name__}: {exc}\n"

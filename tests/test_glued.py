@@ -203,6 +203,15 @@ class TestGluedBounds:
             br = glued_distance_bracket(cfg, p, q)
             assert 0.0 <= br.lower <= br.upper < 1.0
 
+    def test_long_glue_path_stays_below_one(self, acf):
+        # The glue path between these points is longer than 19, where its
+        # tanh rounds to 1.0 in doubles.
+        deep = SpaceConfig(annulus=acf, sheets=20)
+        p = canonicalize(deep, 0, complex(-1.06, 0.0))
+        q = canonicalize(deep, 16, complex(-3.94, 0.0))
+        br = glued_distance_bracket(deep, p, q)
+        assert 0.0 <= br.lower <= br.upper < 1.0
+
 
 class TestNoncompactness:
     def test_probe_passes_at_full_truncation(self, cfg):
