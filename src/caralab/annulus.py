@@ -170,6 +170,7 @@ def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
 # about 1.02) the lower bound keeps the radial quotients only.
 _MAX_PRIME_TERMS = 1000
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_THETA_TOL = 1e-8
 
 
 class MinimizeResult(NamedTuple):
@@ -178,8 +179,7 @@ class MinimizeResult(NamedTuple):
     nfev: int
 
 
-def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-             xtol: float = 1e-8) -> MinimizeResult:
+def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> MinimizeResult:
     """Minimize a vectorized 1-D function: the best point of an evenly spaced
     grid brackets a golden-section search between its two neighbours.  The
     result is the best point evaluated, never worse than the grid's best."""
@@ -199,7 +199,7 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     lo, hi = x - step, x + step
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     fc, fd = evaluate(c), evaluate(d)
-    while hi - lo > xtol:
+    while hi - lo > _THETA_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
