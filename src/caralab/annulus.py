@@ -39,7 +39,6 @@ class AnnulusConfig:
     """Outer radius R of A(R) plus the numeric policy for bound searches."""
 
     R: float
-    lift_range: int = 50
     family_degree: int = 4
     grid_density: int = 3
     seed: int = 0
@@ -47,7 +46,7 @@ class AnnulusConfig:
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 1.0 + 1e-9):
             raise ValueError(f"outer radius must exceed 1, got R = {self.R!r}")
-        for name in ("lift_range", "family_degree", "grid_density"):
+        for name in ("family_degree", "grid_density"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
@@ -137,29 +136,71 @@ def preimage_modulus_sq_formula(ms: np.ndarray) -> np.ndarray:
     return (1.0 - s) / (1.0 + s)
 
 
-def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
-    """All float-representable covering-map lifts of w within the deck range.
+def _deck_shifts(cfg: AnnulusConfig) -> np.ndarray:
+    """The deck shifts k * 2 pi^2 / ln R in L-space, |k| <= K = 1 + ceil(40 / shift).
 
-    Inverts the strip construction with log-branch shifts 2*pi*i*k for
-    |k| <= lift_range; every returned z satisfies covering_map(z) = w to
-    high relative accuracy.
+    Re L lies in a strip of width shift = 2 pi^2 / ln R, so lift k of one
+    point sits at |x| >= (|k| - 1) shift / 2 from the principal lift of
+    another, and its distance is at least tanh|x|, which rounds to 1 past
+    |x| = 20: no lift outside the window can win.
+    """
+    shift = 2.0 * math.pi ** 2 / cfg.log_R
+    K = 1 + math.ceil(40.0 / shift)
+    return np.arange(-K, K + 1) * shift
+
+
+def _log_lift(cfg: AnnulusConfig, w) -> Tuple[np.ndarray, np.ndarray]:
+    """Re L and Im L of the principal lift of w, broadcast over arrays.
+
+    The lift itself is z = -tanh(L/2), but L stays well-conditioned when z
+    saturates at the unit circle (thin annuli stretch lifts against the
+    boundary).
+    """
+    w = np.asarray(w, dtype=complex)
+    scale = math.pi / cfg.log_R
+    return -scale * np.angle(w), scale * (np.log(np.abs(w)) - 0.5 * cfg.log_R)
+
+
+def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
+    """Disk distances between the principal lift of one point and the deck
+    lifts of the other, broadcast over arrays of points a and b.
+
+    The result has shape broadcast(a, b) + (2, 2K + 1): orientation a->b then
+    b->a, deck index k = -K..K.  Computed in L-space by the identity
+    |(z1 - z2)/(1 - conj(z1) z2)| = |sinh((L1 - L2)/2)| / |cosh((conj(L1) - L2)/2)|:
+    with x = Re(L1 - L2)/2, p = Im(L1 - L2)/2, q = Im(L1 + L2)/2 this is
+    sqrt((sinh^2 x + sin^2 p)/(sinh^2 x + cos^2 q)); q lies in (-pi/2, pi/2),
+    so the denominator never vanishes.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    (xa, ya), (xb, yb) = _log_lift(cfg, a), _log_lift(cfg, b)
+    # Orientation axis: a->b pairs a's principal lift with b's deck lifts.
+    # Swapping the points only flips the sign of p and leaves q unchanged.
+    shifted = np.stack([xb, xa], -1)[..., None] - _deck_shifts(cfg)
+    x = 0.5 * (np.stack([xa, xb], -1)[..., None] - shifted)
+    p = 0.5 * (ya - yb)[..., None, None]
+    q = 0.5 * (ya + yb)[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh2 = np.sinh(x) ** 2
+        d = np.sqrt((sh2 + np.sin(p) ** 2) / (sh2 + np.cos(q) ** 2))
+    # Past |x| = 350 sinh overflows; the distance is 1 to double precision.
+    return np.where(np.abs(x) > 350.0, _ONE_MINUS, np.minimum(d, _ONE_MINUS))
+
+
+def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
+    """All float-representable covering-map lifts of w within the deck window.
+
+    The principal lift minus the deck shifts, mapped back by z = -tanh(L/2);
+    every returned z satisfies covering_map(z) = w to high relative accuracy.
     """
     w = _as_annulus_point(cfg, w)
-    u = math.log(abs(w)) - 0.5 * cfg.log_R
-    theta0 = cmath.phase(w)
-    out = []
-    scale = math.pi / cfg.log_R
-    for k in range(-cfg.lift_range, cfg.lift_range + 1):
-        theta = theta0 + 2.0 * math.pi * k
-        L = complex(-scale * theta, scale * u)
-        z = -cmath.tanh(0.5 * L)  # (1 - e^L)/(1 + e^L)
-        # Far deck translates collapse onto the unit circle in doubles and
-        # carry no usable geometry; a lift is kept only if it verifiably
-        # round-trips through the covering map, so the returned list is
-        # self-certifying.
-        if abs(z) <= 1.0 - EPS_BOUNDARY and abs(covering_map(cfg, z) - w) <= 1e-10 * abs(w):
-            out.append(z)
-    return out
+    x, y = _log_lift(cfg, w)
+    zs = -np.tanh(0.5 * ((x - _deck_shifts(cfg)) + 1j * y))
+    # Far deck translates collapse onto the unit circle in doubles and carry
+    # no usable geometry; a lift is kept only if it verifiably round-trips
+    # through the covering map, so the returned list is self-certifying.
+    return [z for z in map(complex, zs[np.abs(zs) <= 1.0 - EPS_BOUNDARY])
+            if abs(covering_map(cfg, z) - w) <= 1e-10 * abs(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +210,6 @@ def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
 # The prime function needs about 20 / ln R terms; past this cap (R below
 # about 1.02) the lower bound keeps the radial quotients only.
 _MAX_PRIME_TERMS = 1000
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_THETA_TOL = 1e-8
 
 
 class MinimizeResult(NamedTuple):
@@ -180,35 +219,10 @@ class MinimizeResult(NamedTuple):
 
 
 def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> MinimizeResult:
-    """Minimize a vectorized 1-D function: the best point of an evenly spaced
-    grid brackets a golden-section search between its two neighbours.  The
-    result is the best point evaluated, never worse than the grid's best."""
+    """Minimize a vectorized 1-D function over a grid: its best point."""
     values = fun(grid)
     j = int(np.argmin(values))
-    x, f, nfev = float(grid[j]), float(values[j]), len(grid)
-
-    def evaluate(t: float) -> float:
-        nonlocal x, f, nfev
-        v = float(fun(np.array([t]))[0])
-        nfev += 1
-        if v < f:
-            x, f = t, v
-        return v
-
-    step = float(grid[1] - grid[0])
-    lo, hi = x - step, x + step
-    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = evaluate(c), evaluate(d)
-    while hi - lo > _THETA_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = evaluate(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = evaluate(d)
-    return MinimizeResult(x, f, nfev)
+    return MinimizeResult(float(grid[j]), float(values[j]), len(grid))
 
 
 def _prime_powers(R: float) -> Optional[np.ndarray]:
@@ -277,56 +291,21 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     return best, witness
 
 
-def _principal_log_lift(cfg: AnnulusConfig, w: complex) -> complex:
-    """The k = 0 lift expressed in the logarithmic strip: the lift itself is
-    z = -tanh(L/2), but L stays well-conditioned when z saturates at the
-    unit circle (thin annuli stretch lifts against the boundary)."""
-    scale = math.pi / cfg.log_R
-    u = math.log(abs(w)) - 0.5 * cfg.log_R
-    return complex(-scale * cmath.phase(w), scale * u)
-
-
-def _lift_mobius_distance(L1: complex, L2: complex) -> float:
-    """mobius_distance(-tanh(L1/2), -tanh(L2/2)) computed in L-space.
-
-    Identity: |(z1 - z2)/(1 - conj(z1) z2)| = |sinh((L1 - L2)/2)| /
-    |cosh((conj(L1) - L2)/2)|.  With x = Re(L1 - L2)/2, p = Im(L1 - L2)/2,
-    q = Im(L1 + L2)/2 this is sqrt((sinh^2 x + sin^2 p)/(sinh^2 x + cos^2 q));
-    q lies in (-pi/2, pi/2) so the denominator never vanishes.
-    """
-    x = 0.5 * (L1.real - L2.real)
-    p = 0.5 * (L1.imag - L2.imag)
-    q = 0.5 * (L1.imag + L2.imag)
-    if abs(x) > 350.0:  # sinh overflows; the distance is 1 to double precision
-        return _ONE_MINUS
-    sh2 = math.sinh(x) ** 2
-    d = math.sqrt((sh2 + math.sin(p) ** 2) / (sh2 + math.cos(q) ** 2))
-    return min(d, _ONE_MINUS)
-
-
 def annulus_upper_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[float, str]:
     """Certified upper bound: min over covering-map lifts of the disk distance.
 
     C*_{A(R)} is dominated by the Kobayashi distance of A(R), which equals
     the minimum over lifts; deck transformations are disk automorphisms, so
     fixing one principal lift loses nothing.  Both orientations are taken to
-    make the result symmetric bit-for-bit.  Distances run in the logarithmic
-    strip, where lifts are exact even when they crowd the unit circle.
+    make the result symmetric bit-for-bit.
     """
     a = _as_annulus_point(cfg, a, "a")
     b = _as_annulus_point(cfg, b, "b")
-    best = math.inf
-    witness = ""
-    shift = 2.0 * math.pi ** 2 / cfg.log_R  # deck step k -> k+1 in L-space
-    for first, second, tag in ((a, b, "a->b"), (b, a, "b->a")):
-        L0 = _principal_log_lift(cfg, first)
-        Ls = _principal_log_lift(cfg, second)
-        for k in range(-cfg.lift_range, cfg.lift_range + 1):
-            d = _lift_mobius_distance(L0, Ls - k * shift)
-            if d < best:
-                best = d
-                witness = f"lift k={k} ({tag}) against principal lift"
-    return best, witness
+    d = lift_distances(cfg, a, b)
+    j = int(np.argmin(d))
+    orientation, i = divmod(j, d.shape[-1])
+    tag = ("a->b", "b->a")[orientation]
+    return float(d.flat[j]), f"lift k={i - d.shape[-1] // 2} ({tag}) against principal lift"
 
 
 def annulus_distance_bracket(cfg: AnnulusConfig, a: complex, b: complex) -> DistanceBracket:

@@ -107,7 +107,6 @@ def _emit(args, document: dict, sweeps: Optional[List[dict]] = None) -> None:
 def _annulus_config(args, R: float) -> AnnulusConfig:
     return AnnulusConfig(
         R=R,
-        lift_range=args.lift_range,
         family_degree=args.family_degree,
         grid_density=args.grid_density,
         seed=args.seed,
@@ -121,14 +120,13 @@ def _config_echo(args) -> dict:
         "m_max": args.m_max,
         "n_max": args.n_max,
         "family_degree": args.family_degree,
-        "lift_range": args.lift_range,
         "grid_density": args.grid_density,
         "seed": args.seed,
         "format": args.format,
     }
 
 
-def _bracket_record(bracket, scale_note: str = "") -> dict:
+def _bracket_record(bracket) -> dict:
     return {
         "scale": "mobius",
         "lower": bracket.lower,
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--m-max", dest="m_max", type=int, default=10 ** 6)
         sub.add_argument("--n-max", dest="n_max", type=int, default=20)
         sub.add_argument("--family-degree", dest="family_degree", type=int, default=4)
-        sub.add_argument("--lift-range", dest="lift_range", type=int, default=50)
         sub.add_argument("--grid-density", dest="grid_density", type=int, default=3)
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--format", choices=("json", "csv"), default="json")

@@ -58,19 +58,22 @@ def poincare_distance(a: complex, b: complex) -> float:
     return _atanh(mobius_distance(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlaschkeProduct:
-    """Finite Blaschke product with the given zeros, all strictly inside D."""
+    """Finite Blaschke product with the given zeros, all strictly inside D.
 
-    zeros: tuple
+    The zeros are stored once, as a read-only complex array.
+    """
+
+    zeros: np.ndarray
 
     def __post_init__(self):
-        zs = tuple(complex(z) for z in self.zeros)
-        for z in zs:
-            if abs(z) > 1.0 - EPS_BOUNDARY:
-                raise DiskDomainError(
-                    f"Blaschke zero too close to the unit circle: |z| = {abs(z)!r}"
-                )
+        zs = np.array(self.zeros, dtype=complex)
+        if zs.size and np.abs(zs).max() > 1.0 - EPS_BOUNDARY:
+            raise DiskDomainError(
+                f"Blaschke zero too close to the unit circle: |z| = {float(np.abs(zs).max())!r}"
+            )
+        zs.setflags(write=False)
         object.__setattr__(self, "zeros", zs)
 
     @property
@@ -83,14 +86,8 @@ class BlaschkeProduct:
             raise DiskDomainError(
                 f"Blaschke evaluation point too close to the unit circle: |z| = {abs(z)!r}"
             )
-        if len(self.zeros) > 32:
-            zs = np.asarray(self.zeros)
-            factors = (z - zs) / (1.0 - np.conj(zs) * z)
-            return complex(np.prod(factors))
-        v = 1.0 + 0.0j
-        for w in self.zeros:
-            v *= (z - w) / (1.0 - w.conjugate() * z)
-        return v
+        zs = self.zeros
+        return complex(np.prod((z - zs) / (1.0 - np.conj(zs) * z)))
 
     def log_abs_at(self, z: complex) -> float:
         """log |B(z)| as a sum of factor logs; -inf at a zero.
@@ -99,9 +96,7 @@ class BlaschkeProduct:
         does not.
         """
         z = _as_disk_point(z)
-        zs = np.asarray(self.zeros)
-        if zs.size == 0:
-            return 0.0
+        zs = self.zeros
         m = np.abs((z - zs) / (1.0 - np.conj(zs) * z))
         if np.any(m == 0.0):
             return -math.inf

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from .annulus import (
     DistanceBracket,
     annulus_lower_bound,
     annulus_upper_bound,
+    lift_distances,
     _as_annulus_point,
 )
 from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance
@@ -98,12 +100,6 @@ def glue_points(cfg: SpaceConfig, n: int) -> List[GluePointIndex]:
     return [GluePointIndex(n, m) for m in range(1, 2 ** n + 1)]
 
 
-def glue_coordinates(cfg: SpaceConfig, n: int) -> np.ndarray:
-    R = cfg.annulus.R
-    js = 2 ** n + np.arange(2 ** n)
-    return R ** (1.0 - 1.0 / js)
-
-
 def canonicalize(
     cfg: SpaceConfig,
     sheet: int,
@@ -171,9 +167,9 @@ def _sheet_blaschke(R: float, target: int, extra: tuple) -> BlaschkeProduct:
     # Zeros are the attachment coordinates of the target sheet scaled into
     # the disk by 1/R, computed exactly as evaluation points are, so the
     # vanishing at glue points is float-exact.
-    js = [2 ** target + m for m in range(2 ** target)]
-    zeros = tuple(R ** (1.0 - 1.0 / j) / R for j in js) + extra
-    return BlaschkeProduct(zeros)
+    n = 2 ** target
+    zeros = (R ** (1.0 - 1.0 / j) / R for j in range(n, 2 * n))
+    return BlaschkeProduct(np.fromiter(chain(zeros, extra), dtype=complex, count=n + len(extra)))
 
 
 @dataclass(frozen=True)
@@ -286,17 +282,20 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     return best, witness
 
 
-def _exit_coords(cfg: SpaceConfig, p: SpacePoint) -> List[complex]:
+def _exits(cfg: SpaceConfig, p: SpacePoint) -> List[SpacePoint]:
     # Hops to sheet 0 happen at the attachment points of p's sheet; a point
     # already on sheet 0 exits at itself.  Subsampling exits keeps the path
     # family small while every retained path still certifies.
     if p.sheet == 0:
-        return [p.coord]
-    coords = glue_coordinates(cfg, p.sheet)
-    if len(coords) > MAX_EXITS:
-        idx = np.unique(np.linspace(0, len(coords) - 1, MAX_EXITS).astype(int))
-        coords = coords[idx]
-    return [complex(c) for c in coords]
+        return [p]
+    n = 2 ** p.sheet
+    idx = np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else range(n)
+    return [canonicalize(cfg, 0, glue=GluePointIndex(p.sheet, int(i) + 1)) for i in idx]
+
+
+def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
+    """atanh of the annulus upper bound, broadcast over arrays of points."""
+    return np.arctanh(lift_distances(acf, a, b).min(axis=(-2, -1)))
 
 
 def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
@@ -318,21 +317,17 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
         v, w = annulus_upper_bound(acf, p.coord, q.coord)
         return v, f"restriction[{w}]"
 
-    best = math.inf
-    witness = ""
-    exits_p = _exit_coords(cfg, p)
-    exits_q = _exit_coords(cfg, q)
-    h_p = [0.0 if a == p.coord else _atanh(annulus_upper_bound(acf, p.coord, a)[0]) for a in exits_p]
-    h_q = [0.0 if b == q.coord else _atanh(annulus_upper_bound(acf, b, q.coord)[0]) for b in exits_q]
-    for i, a in enumerate(exits_p):
-        for j, b in enumerate(exits_q):
-            mid = 0.0 if a == b else _atanh(annulus_upper_bound(acf, a, b)[0])
-            total = h_p[i] + mid + h_q[j]
-            if total < best:
-                best = total
-                witness = f"glue path via exits ({i},{j})"
+    exits_p, exits_q = _exits(cfg, p), _exits(cfg, q)
+    a = np.array([e.coord for e in exits_p])
+    b = np.array([e.coord for e in exits_q])
+    h_p = _poincare_upper(acf, p.coord, a)
+    mid = _poincare_upper(acf, a[:, None], b)
+    h_q = _poincare_upper(acf, b, q.coord)
+    total = h_p[:, None] + mid + h_q[None, :]
+    i, j = np.unravel_index(np.argmin(total), total.shape)
+    witness = f"glue path via exits {format_point(exits_p[i])}; {format_point(exits_q[j])}"
     # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
-    value = min(math.tanh(best), _ONE_MINUS)
+    value = min(math.tanh(total[i, j]), _ONE_MINUS)
 
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
     srt = acf.sqrt_R

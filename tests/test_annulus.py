@@ -20,7 +20,13 @@ from caralab import (
     preimage_point,
     schwarz_pick_check,
 )
-from caralab.annulus import _prime_powers, _zero_factor, minimize, preimage_modulus_sq_formula
+from caralab.annulus import (
+    _deck_shifts,
+    _prime_powers,
+    _zero_factor,
+    minimize,
+    preimage_modulus_sq_formula,
+)
 from conftest import random_annulus_points
 
 
@@ -36,6 +42,30 @@ def annulus_pairs(draw, radii=(1.5, 4.0, 10.0)):
     return R, point(), point()
 
 
+def reference_upper_bound(R, a, b, K):
+    """The scalar lift scan: min over |k| <= K and both orientations of the
+    disk distance between a principal lift and deck lift k, in L-space."""
+    log_R = math.log(R)
+    scale = math.pi / log_R
+
+    def lift(w):
+        return complex(-scale * cmath.phase(w), scale * (math.log(abs(w)) - 0.5 * log_R))
+
+    def distance(L1, L2):
+        x = 0.5 * (L1.real - L2.real)
+        p = 0.5 * (L1.imag - L2.imag)
+        q = 0.5 * (L1.imag + L2.imag)
+        if abs(x) > 350.0:
+            return math.nextafter(1.0, 0.0)
+        sh2 = math.sinh(x) ** 2
+        d = math.sqrt((sh2 + math.sin(p) ** 2) / (sh2 + math.cos(q) ** 2))
+        return min(d, math.nextafter(1.0, 0.0))
+
+    shift = 2.0 * math.pi ** 2 / log_R
+    return min(distance(lift(first), lift(second) - k * shift)
+               for first, second in ((a, b), (b, a)) for k in range(-K, K + 1))
+
+
 def degree2_map(R, w1, w2, w):
     q2k = _prime_powers(R)
     return _zero_factor(R, q2k, w1, w) * _zero_factor(R, q2k, w2, w) / w
@@ -46,7 +76,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             AnnulusConfig(R=1.0)
         with pytest.raises(ValueError):
-            AnnulusConfig(R=4.0, lift_range=0)
+            AnnulusConfig(R=4.0, grid_density=0)
 
 
 class TestCoveringMap:
@@ -192,12 +222,11 @@ class TestLowerBound:
         assert 0.0 <= br.lower <= br.upper < 1.0
         assert br.lower_witness in ("w/R", "1/w", "trivial (identical points)")
 
-    def test_minimize_refines_past_the_grid(self):
+    def test_minimize_takes_the_grid_argmin(self):
         grid = 2.0 * math.pi / 16 * np.arange(16)
         res = minimize(lambda t: -np.cos(t - 1.234), grid)
-        assert res.x == pytest.approx(1.234, abs=1e-7)
-        assert res.fun == pytest.approx(-1.0, abs=1e-14)
-        assert res.nfev > len(grid)
+        j = int(np.argmin(-np.cos(grid - 1.234)))
+        assert (res.x, res.fun, res.nfev) == (grid[j], -math.cos(grid[j] - 1.234), len(grid))
 
 
 class TestAutomorphismInvariance:
@@ -232,6 +261,28 @@ class TestUpperBound:
         for m in (4, 10, 100):
             v, _ = annulus_upper_bound(acf, acf.sqrt_R, acf.R ** (1.0 - 1.0 / m))
             assert v <= 1.0 - 2.0 / (m + 1.0) + 1e-12
+
+    def test_deck_window_is_derived_from_R(self):
+        # K = 1 + ceil(40 / shift) with shift = 2 pi^2 / ln R.
+        assert len(_deck_shifts(AnnulusConfig(R=4.0))) == 2 * 4 + 1
+        assert len(_deck_shifts(AnnulusConfig(R=1e12))) == 2 * 57 + 1
+
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.5, 4.0, 1e3, 1e12])
+    def test_matches_scalar_scan_over_a_wider_window(self, R):
+        # No lift outside the derived window |k| <= K wins, even over 4K.
+        cfg = AnnulusConfig(R=R)
+        K = 1 + math.ceil(40.0 * math.log(R) / (2.0 * math.pi ** 2))
+        rng = np.random.default_rng(53)
+        radii = R ** rng.uniform(0.01, 0.99, (2, 30))
+        pts = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, (2, 30)))
+        pairs = [*zip(pts[0], pts[1]), (radii[0, 0], radii[0, 0] * 1j),
+                 (pts[0, 1], pts[0, 1] * cmath.exp(1e-3j))]
+        for a, b in pairs:
+            v, witness = annulus_upper_bound(cfg, a, b)
+            # Same arithmetic order; numpy's log, angle and sinh may round
+            # differently from math's in the last place.
+            assert v == pytest.approx(reference_upper_bound(R, a, b, 4 * K), abs=1e-15)
+            assert abs(int(witness.split()[1].removeprefix("k="))) <= K
 
 
 class TestBracket:

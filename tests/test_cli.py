@@ -6,8 +6,7 @@ from caralab import BracketOrderError, CoveringBranchError, EvaluationEscapeErro
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
 
 FAST = [
-    "--m-max", "2000", "--n-max", "8", "--family-degree", "1",
-    "--grid-density", "2", "--lift-range", "10",
+    "--m-max", "2000", "--n-max", "8", "--family-degree", "1", "--grid-density", "2",
 ]
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from caralab import (
     AdmissibleFunction,
+    AnnulusConfig,
     EvaluationEscapeError,
     GluePointIndex,
     SpaceConfig,
     annulus_distance_bracket,
+    annulus_upper_bound,
     ball_inclusion_radius,
     canonicalize,
     completeness_probe,
@@ -22,19 +24,18 @@ from caralab import (
     parse_point,
     recanonicalize,
 )
-from caralab.glued import glue_coordinates
 from caralab.sweeps import TWO_OVER_E
 
 
 class TestGluePoints:
     def test_first_sheet_coordinates(self, cfg):
-        coords = glue_coordinates(cfg, 1)
-        assert coords.tolist() == pytest.approx([2.0, 4.0 ** (2.0 / 3.0)], abs=1e-14)
+        coords = [g.coordinate(cfg.annulus.R) for g in glue_points(cfg, 1)]
+        assert coords == pytest.approx([2.0, 4.0 ** (2.0 / 3.0)], abs=1e-14)
 
     def test_second_sheet_coordinates(self, cfg):
-        coords = glue_coordinates(cfg, 2)
+        coords = [g.coordinate(cfg.annulus.R) for g in glue_points(cfg, 2)]
         expected = [4.0 ** (1.0 - 1.0 / j) for j in (4, 5, 6, 7)]
-        assert coords.tolist() == pytest.approx(expected, abs=1e-14)
+        assert coords == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_counts_double_per_sheet(self, cfg, n):
@@ -209,6 +210,33 @@ class TestGluedBounds:
         deep = SpaceConfig(annulus=acf, sheets=20)
         p = canonicalize(deep, 0, complex(-1.06, 0.0))
         q = canonicalize(deep, 16, complex(-3.94, 0.0))
+        br = glued_distance_bracket(deep, p, q)
+        assert 0.0 <= br.lower <= br.upper < 1.0
+
+    def test_glue_path_witness_re_evaluates(self, cfg):
+        # The witness names both exits; the bound is tanh of the three legs'
+        # summed Poincare lengths.
+        acf = cfg.annulus
+        rng = np.random.default_rng(29)
+        for p_sheet, q_sheet in [(0, 3), (2, 7), (12, 5), (1, 12), (0, 12)]:
+            r = rng.uniform(1.1, acf.R - 0.1, 2)
+            th = rng.uniform(0, 2 * math.pi, 2)
+            p = canonicalize(cfg, p_sheet, r[0] * complex(math.cos(th[0]), math.sin(th[0])))
+            q = canonicalize(cfg, q_sheet, r[1] * complex(math.cos(th[1]), math.sin(th[1])))
+            v, witness = glued_upper_bound(cfg, p, q)
+            ep, eq = (parse_point(cfg, s) for s in
+                      witness.removeprefix("glue path via exits ").split("; "))
+            for pt, exit_ in ((p, ep), (q, eq)):
+                assert exit_ == pt if pt.sheet == 0 else exit_.glue.sheet == pt.sheet
+            legs = ((p.coord, ep.coord), (ep.coord, eq.coord), (eq.coord, q.coord))
+            total = sum(math.atanh(annulus_upper_bound(acf, a, b)[0]) for a, b in legs)
+            assert math.tanh(total) == pytest.approx(v, abs=1e-12)
+
+    def test_cross_sheet_bracket_at_large_radius_and_depth(self):
+        acf = AnnulusConfig(R=1e3, family_degree=2, grid_density=2)
+        deep = SpaceConfig(annulus=acf, sheets=20)
+        p = canonicalize(deep, 0, complex(30.0, 5.0))
+        q = canonicalize(deep, 20, complex(-200.0, 40.0))
         br = glued_distance_bracket(deep, p, q)
         assert 0.0 <= br.lower <= br.upper < 1.0
 
