@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,13 +162,13 @@ def parse_point(cfg: SpaceConfig, text: str) -> SpacePoint:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _sheet_blaschke(R: float, target: int, extra: tuple) -> BlaschkeProduct:
+def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
     # Zeros are the attachment coordinates of the target sheet scaled into
     # the disk by 1/R, computed exactly as evaluation points are, so the
     # vanishing at glue points is float-exact.
     n = 2 ** target
     zeros = (R ** (1.0 - 1.0 / j) / R for j in range(n, 2 * n))
-    return BlaschkeProduct(np.fromiter(chain(zeros, extra), dtype=complex, count=n + len(extra)))
+    return BlaschkeProduct(np.fromiter(zeros, dtype=complex, count=n))
 
 
 @dataclass(frozen=True)
@@ -189,21 +188,19 @@ class AdmissibleFunction:
     label: str
     base: Optional[Callable[[complex], complex]] = None
     target_sheet: Optional[int] = None
-    extra_zeros: tuple = ()
 
     @staticmethod
     def pullback(base: Callable[[complex], complex], label: str) -> "AdmissibleFunction":
         return AdmissibleFunction(kind="pullback", label=f"pullback[{label}]", base=base)
 
     @staticmethod
-    def sheet_supported(target_sheet: int, extra_zeros: tuple = ()) -> "AdmissibleFunction":
+    def sheet_supported(target_sheet: int) -> "AdmissibleFunction":
         if target_sheet < 1:
             raise ValueError("sheet-supported functions require a target sheet >= 1")
         return AdmissibleFunction(
             kind="sheet-supported",
             label=f"sheet-supported[{target_sheet}]",
             target_sheet=target_sheet,
-            extra_zeros=tuple(complex(z) for z in extra_zeros),
         )
 
     @staticmethod
@@ -221,7 +218,7 @@ class AdmissibleFunction:
         if self.kind == "sheet-supported":
             if sheet != self.target_sheet:
                 return 0.0 + 0.0j
-            B = _sheet_blaschke(cfg.annulus.R, self.target_sheet, self.extra_zeros)
+            B = _sheet_blaschke(cfg.annulus.R, self.target_sheet)
             return B(coord / cfg.annulus.R)
         if self.kind == "phi-style":
             inner = AdmissibleFunction.sheet_supported(self.target_sheet)
@@ -233,7 +230,7 @@ class AdmissibleFunction:
     def evaluate(self, cfg: SpaceConfig, p: SpacePoint) -> complex:
         if self.kind == "sheet-supported" and p.glue is not None:
             # Identified point: both representatives evaluate to 0.
-            if p.glue.sheet == self.target_sheet and not self.extra_zeros:
+            if p.glue.sheet == self.target_sheet:
                 return 0.0 + 0.0j
         return self.evaluate_on_representative(cfg, p.sheet, p.coord)
 
@@ -253,9 +250,8 @@ def evaluate_admissible(cfg: SpaceConfig, F: AdmissibleFunction, p: SpacePoint) 
 # Distance bounds on the truncated space.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _one_over_e_threshold(n_max: int) -> Optional[int]:
-    # Block products of |x(m)| are R-free; any R > 1 works here.
+    # Block products of |x(m)| are R-free and cached in sweeps; any R > 1 works.
     return verify_one_over_e_products(2.0, n_max).threshold_found
 
 
@@ -455,31 +451,30 @@ def completeness_probe(cfg: SpaceConfig, sequence: Sequence[SpacePoint]) -> Comp
         raise ValueError("completeness probe needs a sequence of length >= 3")
 
     n = len(seq)
-    upper = [[0.0] * n for _ in range(n)]
-    lower = [[0.0] * n for _ in range(n)]
+    upper = np.zeros((n, n))
+    lower = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            upper[i][j] = upper[j][i] = glued_upper_bound(cfg, seq[i], seq[j])[0]
-            lower[i][j] = lower[j][i] = glued_lower_bound(cfg, seq[i], seq[j])[0]
+            upper[i, j] = upper[j, i] = glued_upper_bound(cfg, seq[i], seq[j])[0]
+            lower[i, j] = lower[j, i] = glued_lower_bound(cfg, seq[i], seq[j])[0]
+    coords = np.array([p.coord for p in seq])
+    # hypot, as in abs(complex); np.abs on complex can differ in the last ulp.
+    diff = coords[:, None] - coords[None, :]
+    gaps = np.hypot(diff.real, diff.imag)
+    sheets = [p.sheet for p in seq]
 
-    stats = []
-    for t in range(n - 1):
-        tail = range(t, n)
-        modulus = max(upper[i][j] for i in tail for j in tail)
-        # A lower-bound modulus bounded away from 0 rules Cauchy out; this is
-        # how boundary escape shows up even though coordinates converge.
-        separation = max(lower[i][j] for i in tail for j in tail)
-        diameter = max(abs(seq[i].coord - seq[j].coord) for i in tail for j in tail)
-        single = len({seq[i].sheet for i in tail}) == 1
-        stats.append(
-            {
-                "tail_start": t,
-                "cauchy_modulus_mobius": modulus,
-                "separation_floor_mobius": separation,
-                "coordinate_diameter": diameter,
-                "single_sheet": single,
-            }
-        )
+    stats = [
+        {
+            "tail_start": t,
+            "cauchy_modulus_mobius": float(upper[t:, t:].max()),
+            # A lower-bound modulus bounded away from 0 rules Cauchy out; this
+            # is how boundary escape shows up even though coordinates converge.
+            "separation_floor_mobius": float(lower[t:, t:].max()),
+            "coordinate_diameter": float(gaps[t:, t:].max()),
+            "single_sheet": len(set(sheets[t:])) == 1,
+        }
+        for t in range(n - 1)
+    ]
 
     first, last = stats[0], stats[-1]
     cauchy_like = last["cauchy_modulus_mobius"] <= max(1e-6, 0.1 * first["cauchy_modulus_mobius"])

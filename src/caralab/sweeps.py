@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,6 +86,24 @@ def _pick_samples(ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> li
         if 0 <= idx < len(ms):
             out.append((int(ms[idx]), float(lhs[idx]), float(rhs[idx])))
     return out
+
+
+def _log0(values: np.ndarray) -> np.ndarray:
+    """Elementwise log, with -inf wherever a value is not positive."""
+    return np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
+
+
+def _block_sums(values: np.ndarray, n_max: int) -> Tuple[float, ...]:
+    """Sums of values[m - 2] over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max."""
+    return tuple(
+        float(np.sum(values[2 ** n - 2 : 2 ** (n + 1) - 2])) for n in range(1, n_max + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _block_log_moduli(n_max: int) -> Tuple[float, ...]:
+    """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
+    return _block_sums(_log0(preimage_moduli(np.arange(2, 2 ** (n_max + 1)))), n_max)
 
 
 def tau(R: float, t) -> np.ndarray:
@@ -270,21 +289,13 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    ms = np.arange(2, 2 ** (n_max + 1))
-    x = preimage_moduli(ms)
-    q = lower_bound_quotient(R, ms.astype(float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
-        log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -np.inf)
+    lower = _block_sums(_log0(lower_bound_quotient(R, np.arange(2.0, 2 ** (n_max + 1)))), n_max)
+    upper = _block_log_moduli(n_max)
 
     ok_rows = []
     margins = []
     samples = []
-    for n in range(1, n_max + 1):
-        lo, hi = 2 ** n, 2 ** (n + 1)  # block of 2^n indices
-        sl = slice(lo - 2, hi - 2)
-        mid_lower = float(np.sum(log_q[sl]))
-        mid_upper = float(np.sum(log_x[sl]))
+    for n, mid_lower, mid_upper in zip(range(1, n_max + 1), lower, upper):
         base = 1.0 - K / 2 ** n
         # Even exponent: a negative base still yields a positive product,
         # so the left endpoint is compared through |base|.
@@ -338,17 +349,10 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
     """
     if not 1 <= n_max <= 24:
         raise ValueError(f"n_max must lie in [1, 24], got {n_max!r}")
-    ms = np.arange(2, 2 ** (n_max + 1))
-    x = preimage_moduli(ms)
-    with np.errstate(divide="ignore"):
-        log_x = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
-
     ok_rows = []
     margins = []
     samples = []
-    for n in range(1, n_max + 1):
-        sl = slice(2 ** n - 2, 2 ** (n + 1) - 2)
-        log_prod = float(np.sum(log_x[sl]))
+    for n, log_prod in enumerate(_block_log_moduli(n_max), start=1):
         margin = -1.0 - log_prod  # log(1/e) - log(product)
         ok_rows.append(margin >= -EPS_ALGEBRAIC)
         # |x(2)| = 0 makes the n=1 margin +inf; clamp to keep reports finite.

@@ -4,6 +4,7 @@ import pytest
 
 from caralab import BracketOrderError, CoveringBranchError, EvaluationEscapeError, cli
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
+from caralab.sweeps import _block_log_moduli
 
 FAST = [
     "--m-max", "2000", "--n-max", "8", "--family-degree", "1", "--grid-density", "2",
@@ -50,6 +51,14 @@ class TestVerifyLemmas:
         assert code == EXIT_OK
         names = [s["parameter_name"] for s in json.loads(out)["sweeps"]]
         assert "m2(R=2)" in names and "m2(R=10)" in names
+
+    def test_block_table_is_computed_once(self, capsys):
+        # Both block sweeps at every radius read one R-free table.
+        _block_log_moduli.cache_clear()
+        code, _, _ = run(capsys, ["verify-lemmas", *FAST, "--R", "1.5", "--R", "4", "--R", "10"])
+        assert code == EXIT_OK
+        info = _block_log_moduli.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
     def test_csv_export(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caralab import (
     AdmissibleFunction,
@@ -24,7 +27,15 @@ from caralab import (
     parse_point,
     recanonicalize,
 )
-from caralab.sweeps import TWO_OVER_E
+from caralab.glued import _one_over_e_threshold
+from caralab.sweeps import TWO_OVER_E, _block_log_moduli
+
+
+@st.composite
+def space_points(draw, sheets=12):
+    """(sheet, coordinate) on A(4), 2 % of the width off both boundary circles."""
+    r = draw(st.floats(1.06, 3.94))
+    return draw(st.integers(0, sheets)), cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
 
 
 class TestGluePoints:
@@ -204,6 +215,17 @@ class TestGluedBounds:
             br = glued_distance_bracket(cfg, p, q)
             assert 0.0 <= br.lower <= br.upper < 1.0
 
+    @given(space_points(), space_points())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugation_invariance(self, a, b):
+        # The glue points are real, so w -> conj(w) on every sheet is an
+        # automorphism of the glued space.
+        cfg = SpaceConfig(AnnulusConfig(R=4.0, family_degree=2, grid_density=2), sheets=12)
+        p, q = (canonicalize(cfg, sheet, w) for sheet, w in (a, b))
+        pc, qc = (canonicalize(cfg, sheet, w.conjugate()) for sheet, w in (a, b))
+        for bound in (glued_lower_bound, glued_upper_bound):
+            assert bound(cfg, pc, qc)[0] == pytest.approx(bound(cfg, p, q)[0], abs=1e-12)
+
     def test_long_glue_path_stays_below_one(self, acf):
         # The glue path between these points is longer than 19, where its
         # tanh rounds to 1.0 in doubles.
@@ -250,6 +272,12 @@ class TestNoncompactness:
         assert all(u <= TWO_OVER_E + 1e-12 for u in rep.upper_bounds)
         assert rep.ball_radius == TWO_OVER_E
         assert rep.threshold_n0 == 1
+
+    def test_threshold_reads_the_shared_block_table(self):
+        _block_log_moduli.cache_clear()
+        assert _one_over_e_threshold(12) == _one_over_e_threshold(12) == 1
+        info = _block_log_moduli.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_to_dict_round(self, cfg):
         d = noncompactness_probe(cfg, 5).to_dict()

@@ -12,7 +12,7 @@ from caralab import (
     verify_two_pi_limit,
     verify_upper_bound_sweep,
 )
-from caralab.sweeps import _suffix_threshold, lower_bound_quotient, tau
+from caralab.sweeps import _block_log_moduli, _suffix_threshold, lower_bound_quotient, tau
 
 
 class TestBoundConstants:
@@ -168,11 +168,35 @@ class TestOneOverEProducts:
         assert res.samples[0] == (1, 0.0, 1.0 / math.e)
 
 
+class TestBlockLogModuli:
+    def test_block_sums_match_direct_logs(self):
+        table = _block_log_moduli(12)
+        assert len(table) == 12
+        for n, block_sum in enumerate(table, start=1):
+            with np.errstate(divide="ignore"):
+                direct = np.sum(np.log(preimage_moduli(np.arange(2 ** n, 2 ** (n + 1)))))
+            assert block_sum == float(direct)
+
+    def test_shorter_table_is_a_bitwise_prefix(self):
+        assert _block_log_moduli(20)[:12] == _block_log_moduli(12)
+
+
 class TestDeterminismAndSerialization:
     def test_repeated_sweeps_are_identical(self):
         a = verify_lower_bound_sweep(4.0, 5000).to_dict()
         b = verify_lower_bound_sweep(4.0, 5000).to_dict()
         assert a == b
+
+    def test_block_sweeps_are_identical_after_a_cache_clear(self):
+        # A warm repeat only reads the cached table; recompute it from scratch.
+        def run():
+            return [f(R, 16).to_dict() for R in (1.5, 4.0)
+                    for f in (verify_final_chain, verify_one_over_e_products)]
+
+        warm = run()
+        _block_log_moduli.cache_clear()
+        assert run() == warm
+        assert _block_log_moduli.cache_info().misses == 1
 
     def test_to_dict_shape(self):
         d = verify_upper_bound_sweep(100).to_dict()
