@@ -20,6 +20,10 @@ EPS_BOUNDARY = 1e-9
 # open-interval contract |d| < 1 survives rounding for near-boundary pairs.
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 
+# Zeros per chunk in BlaschkeProduct.log_abs_at: its few work arrays of this
+# many doubles stay in cache.
+_CHUNK = 1 << 13
+
 
 class DiskDomainError(ValueError):
     """A point required to lie in the open unit disk does not."""
@@ -62,13 +66,14 @@ def poincare_distance(a: complex, b: complex) -> float:
 class BlaschkeProduct:
     """Finite Blaschke product with the given zeros, all strictly inside D.
 
-    The zeros are stored once, as a read-only complex array.
+    The zeros are stored once, as a read-only array: float64 when every zero
+    is given as a real number, complex otherwise.
     """
 
     zeros: np.ndarray
 
     def __post_init__(self):
-        zs = np.array(self.zeros, dtype=complex)
+        zs = np.array(self.zeros, dtype=float if np.isrealobj(self.zeros) else complex)
         if zs.size and np.abs(zs).max() > 1.0 - EPS_BOUNDARY:
             raise DiskDomainError(
                 f"Blaschke zero too close to the unit circle: |z| = {float(np.abs(zs).max())!r}"
@@ -87,20 +92,55 @@ class BlaschkeProduct:
                 f"Blaschke evaluation point too close to the unit circle: |z| = {abs(z)!r}"
             )
         zs = self.zeros
-        return complex(np.prod((z - zs) / (1.0 - np.conj(zs) * z)))
+        # In place: two work arrays of len(zs) complex values at a time.
+        num = z - zs
+        den = (zs if zs.dtype.kind == "f" else np.conj(zs)) * z
+        np.subtract(1.0, den, out=den)
+        num /= den
+        return complex(np.prod(num))
 
     def log_abs_at(self, z: complex) -> float:
-        """log |B(z)| as a sum of factor logs; -inf at a zero.
+        """log |B(z)| as a real sum over the factors; -inf at a zero.
 
-        Direct products of thousands of factor moduli underflow; the log sum
-        does not.
+        Each factor has |(z - a) / (1 - conj(a) z)|^2 = 1 - u with
+        u = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2, so log |B(z)| is half
+        the sum of log1p(-u), accurate however small u gets.  Factors with
+        u > 1/2 (z near their zero) take log|z - a| - log|1 - conj(a) z|
+        instead, which stays accurate for tiny zeros.  The zeros are taken in
+        chunks of _CHUNK, so the work arrays stay in cache and no per-zero
+        array is kept.
         """
         z = _as_disk_point(z)
-        zs = self.zeros
-        m = np.abs((z - zs) / (1.0 - np.conj(zs) * z))
-        if np.any(m == 0.0):
-            return -math.inf
-        return float(np.sum(np.log(m)))
+        r = abs(z)
+        neg_c = -(1.0 - r) * (1.0 + r)  # -(1 - |z|^2)
+        total = 0.0
+        for start in range(0, self.degree, _CHUNK):
+            a = self.zeros[start:start + _CHUNK]
+            if a.dtype.kind == "f":
+                # 1 - a x as (1 - a) + a (1 - x): for 0.5 <= a, x < 1 both
+                # brackets are exact, so it keeps its digits near the circle.
+                u = 1.0 - a
+                far = a * (1.0 - z.real)
+                far += u
+                far *= far
+                far += (a * z.imag) ** 2  # |1 - a z|^2
+                u *= 1.0 + a  # 1 - a^2
+            else:
+                w = 1.0 - np.conj(a) * z
+                far = w.real ** 2 + w.imag ** 2
+                m = np.abs(a)
+                u = (1.0 - m) * (1.0 + m)
+            u *= neg_c
+            u /= far  # -u of each factor
+            if u.min() < -0.5:
+                near = u < -0.5
+                gap = np.abs(z - a[near])
+                if not gap.all():
+                    return -math.inf
+                total += 2.0 * float(np.sum(np.log(gap))) - float(np.sum(np.log(far[near])))
+                u[near] = 0.0
+            total += float(np.sum(np.log1p(u, out=u)))
+        return 0.5 * total
 
 
 def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:

@@ -28,7 +28,9 @@ from .annulus import (
     lift_distances,
     _as_annulus_point,
 )
-from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance
+# perfbench/spans.py rebinds glued.mobius_distance and glued.BlaschkeProduct
+# by name, so both stay module names here.
+from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance  # noqa: F401
 from .sweeps import TWO_OVER_E, verify_one_over_e_products
 
 # Glue-index/coordinate agreement tolerance when both are supplied.
@@ -168,7 +170,7 @@ def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
     # vanishing at glue points is float-exact.
     n = 2 ** target
     zeros = (R ** (1.0 - 1.0 / j) / R for j in range(n, 2 * n))
-    return BlaschkeProduct(np.fromiter(zeros, dtype=complex, count=n))
+    return BlaschkeProduct(np.fromiter(zeros, dtype=float, count=n))
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,8 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     Maximizes over the pullback of the annulus lower-bound family and over
     sheet-supported candidates vanishing on one point's sheet; each candidate
     is a genuine holomorphic map on the quotient, so each value certifies.
+    Same-sheet pairs skip the sheet-supported candidate, which can never beat
+    the pullback of w/R there.
     """
     p = recanonicalize(cfg, p)
     q = recanonicalize(cfg, q)
@@ -269,12 +273,21 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
 
     best, witness = annulus_lower_bound(cfg.annulus, p.coord, q.coord)
     witness = f"pullback[{witness}]"
+    if p.sheet == q.sheet:
+        # Both ends see F = B(w/R), and by Schwarz-Pick d(B(a/R), B(b/R)) is
+        # at most d(a/R, b/R), the w/R quotient already in `best`.
+        return best, witness
 
-    for t in sorted({p.sheet, q.sheet} - {0}):
-        F = AdmissibleFunction.sheet_supported(t)
-        v = mobius_distance(F.evaluate(cfg, p), F.evaluate(cfg, q))
+    # The end off sheet t evaluates to 0, so the candidate's Mobius distance
+    # is |B(w/R)| at the end on sheet t.
+    R = cfg.annulus.R
+    for pt in sorted((p, q), key=lambda pt: pt.sheet):
+        if pt.sheet == 0:
+            continue
+        B = _sheet_blaschke(R, pt.sheet)
+        v = min(math.exp(B.log_abs_at(pt.coord / R)), _ONE_MINUS)
         if v > best:
-            best, witness = v, F.label
+            best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness
 
 

@@ -93,17 +93,21 @@ def _log0(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
 
 
-def _block_sums(values: np.ndarray, n_max: int) -> Tuple[float, ...]:
-    """Sums of values[m - 2] over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max."""
+def _block_log_sums(f, n_max: int) -> Tuple[float, ...]:
+    """Sums of log f(m) (-inf where f(m) <= 0) over the blocks
+    m = 2^n .. 2^(n+1)-1, n = 1..n_max.
+
+    One block at a time, so the largest work array holds 2^n_max values.
+    """
     return tuple(
-        float(np.sum(values[2 ** n - 2 : 2 ** (n + 1) - 2])) for n in range(1, n_max + 1)
+        float(np.sum(_log0(f(np.arange(2 ** n, 2 ** (n + 1)))))) for n in range(1, n_max + 1)
     )
 
 
 @lru_cache(maxsize=None)
 def _block_log_moduli(n_max: int) -> Tuple[float, ...]:
     """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
-    return _block_sums(_log0(preimage_moduli(np.arange(2, 2 ** (n_max + 1)))), n_max)
+    return _block_log_sums(preimage_moduli, n_max)
 
 
 def tau(R: float, t) -> np.ndarray:
@@ -289,7 +293,7 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    lower = _block_sums(_log0(lower_bound_quotient(R, np.arange(2.0, 2 ** (n_max + 1)))), n_max)
+    lower = _block_log_sums(lambda ms: lower_bound_quotient(R, ms), n_max)
     upper = _block_log_moduli(n_max)
 
     ok_rows = []

@@ -229,6 +229,20 @@ class TestLowerBound:
         assert (res.x, res.fun, res.nfev) == (grid[j], -math.cos(grid[j] - 1.234), len(grid))
 
 
+class TestFamilyMonotonicity:
+    @given(annulus_pairs(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_lower_bound_never_drops_as_the_family_grows(self, pair, d):
+        # Degree 1 is the radial quotients alone; degree 2 adds the proper
+        # maps.  The 16d-angle grid holds the 8d-angle grid bit for bit.
+        R, a, b = pair
+
+        def lower(degree, density):
+            return annulus_lower_bound(AnnulusConfig(R, degree, density), a, b)[0]
+
+        assert lower(1, d) <= lower(2, d) <= lower(2, 2 * d)
+
+
 class TestAutomorphismInvariance:
     @given(annulus_pairs(), st.floats(0.0, 2.0 * math.pi))
     @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from caralab import (
     preimage_point,
     schwarz_pick_check,
 )
+from caralab.glued import _sheet_blaschke
 from conftest import random_disk_points
 
 disk_points = st.builds(
@@ -128,6 +129,35 @@ class TestBlaschkeProduct:
         zeros = tuple(0.9 * np.exp(1j * rng.uniform(0, 2 * math.pi, 1 << 12)))
         B = BlaschkeProduct(zeros=zeros)
         assert math.isfinite(B.log_abs_at(0.05))
+
+    @pytest.mark.parametrize(
+        "zeros, z",
+        [
+            # Sheet 14 at R = 4: 2^14 real zeros crowding 1, at an interior
+            # point and 2 % off the outer circle, just off the real axis.
+            ("sheet14", complex(2.0, 0.5) / 4.0),
+            ("sheet14", cmath.rect(0.98, 0.05)),
+            # Complex zeros, one of them tiny; the last point sits next to a
+            # zero, where the factor is taken from |z - a| directly.
+            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), 0.3 - 0.4j),
+            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), cmath.rect(0.97, 2.0)),
+            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j), 0.5 + 0.3000001j),
+        ],
+    )
+    def test_log_abs_matches_a_40_digit_reference(self, zeros, z):
+        mpmath = pytest.importorskip("mpmath")
+        B = _sheet_blaschke(4.0, 14) if zeros == "sheet14" else BlaschkeProduct(zeros)
+        with mpmath.workdps(40):
+            x, y = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+
+            def log_factor_sq(a):
+                # log(|z - a|^2 / |1 - conj(a) z|^2) for the exact float zero a.
+                ar, ai = mpmath.mpf(a.real), mpmath.mpf(a.imag)
+                near = (x - ar) ** 2 + (y - ai) ** 2
+                return mpmath.log(near / ((1 - ar * x - ai * y) ** 2 + (ar * y - ai * x) ** 2))
+
+            exact = mpmath.fsum(map(log_factor_sq, B.zeros.astype(complex).tolist())) / 2
+            assert abs((B.log_abs_at(z) - exact) / exact) <= 1e-13
 
     def test_maps_disk_into_disk(self):
         rng = np.random.default_rng(5)

@@ -13,6 +13,7 @@ from caralab import (
     GluePointIndex,
     SpaceConfig,
     annulus_distance_bracket,
+    annulus_lower_bound,
     annulus_upper_bound,
     ball_inclusion_radius,
     canonicalize,
@@ -23,12 +24,14 @@ from caralab import (
     glued_distance_bracket,
     glued_lower_bound,
     glued_upper_bound,
+    mobius_distance,
     noncompactness_probe,
     parse_point,
     recanonicalize,
 )
-from caralab.glued import _one_over_e_threshold
+from caralab.glued import _one_over_e_threshold, _sheet_blaschke
 from caralab.sweeps import TWO_OVER_E, _block_log_moduli
+from conftest import random_annulus_points
 
 
 @st.composite
@@ -125,12 +128,14 @@ class TestAdmissibleFunctions:
             assert evaluate_admissible(cfg, F, canonicalize(cfg, s, 2.5)) == 0.0
 
     def test_sheet_supported_vanishes_exactly_at_glue(self, cfg):
-        F = AdmissibleFunction.sheet_supported(2)
-        for g in glue_points(cfg, 2):
-            c = g.coordinate(cfg.annulus.R)
-            # Both representatives of the identified point evaluate to 0.
-            assert F.evaluate_on_representative(cfg, 2, c) == 0.0
-            assert F.evaluate_on_representative(cfg, 0, c) == 0.0
+        for n in range(1, 11):
+            assert _sheet_blaschke(cfg.annulus.R, n).zeros.dtype == np.float64
+            F = AdmissibleFunction.sheet_supported(n)
+            for g in glue_points(cfg, n):
+                c = g.coordinate(cfg.annulus.R)
+                # Both representatives of the identified point evaluate to 0.
+                assert F.evaluate_on_representative(cfg, n, c) == 0.0
+                assert F.evaluate_on_representative(cfg, 0, c) == 0.0
 
     def test_quotient_soundness_at_identified_points(self, cfg):
         fam = [
@@ -261,6 +266,75 @@ class TestGluedBounds:
         q = canonicalize(deep, 20, complex(-200.0, 40.0))
         br = glued_distance_bracket(deep, p, q)
         assert 0.0 <= br.lower <= br.upper < 1.0
+
+
+def reference_lower_bound(cfg, p, q):
+    """The glued lower bound with every sheet-supported candidate, both ends
+    evaluated by the complex product B(w/R)."""
+    p, q = recanonicalize(cfg, p), recanonicalize(cfg, q)
+    best, witness = annulus_lower_bound(cfg.annulus, p.coord, q.coord)
+    witness = f"pullback[{witness}]"
+    for t in sorted({p.sheet, q.sheet} - {0}):
+        F = AdmissibleFunction.sheet_supported(t)
+        v = mobius_distance(F.evaluate(cfg, p), F.evaluate(cfg, q))
+        if v > best:
+            best, witness = v, F.label
+    return best, witness
+
+
+class TestSheetSupportedCandidates:
+    @given(st.integers(1, 12), space_points(), space_points())
+    @settings(max_examples=60, deadline=None)
+    def test_same_sheet_value_never_beats_w_over_R(self, t, a, b):
+        # Schwarz-Pick for B_t: d(B(a/R), B(b/R)) <= d(a/R, b/R), which is why
+        # glued_lower_bound skips the candidate on same-sheet pairs.  The slack
+        # is the rounding of two 2^t-factor products: on points 1 ulp apart
+        # the left side is that rounding alone (1.6e-15 at t = 7).
+        cfg = SpaceConfig(AnnulusConfig(R=4.0, family_degree=2, grid_density=2), sheets=12)
+        (_, a), (_, b) = a, b
+        F = AdmissibleFunction.sheet_supported(t)
+        v = mobius_distance(*(F.evaluate_on_representative(cfg, t, w) for w in (a, b)))
+        assert v <= mobius_distance(a / 4.0, b / 4.0) + 2 ** t * 1e-14
+
+    @pytest.mark.parametrize("sheet", [1, 2, 7, 12, 16, 20])
+    def test_same_sheet_pairs_get_the_pullback_bound(self, acf, sheet):
+        deep = SpaceConfig(annulus=acf, sheets=20)
+        rng = np.random.default_rng(sheet)
+        for a, b in zip(*(random_annulus_points(rng, acf.R, 4) for _ in range(2))):
+            value, witness = glued_lower_bound(
+                deep, canonicalize(deep, sheet, a), canonicalize(deep, sheet, b))
+            expected, w = annulus_lower_bound(acf, a, b)
+            assert (value, witness) == (expected, f"pullback[{w}]")
+
+    def test_cross_sheet_pairs_match_the_complex_product(self, acf):
+        deep = SpaceConfig(annulus=acf, sheets=20)
+        rng = np.random.default_rng(41)
+        pairs = []
+        for _ in range(200):
+            s, t = rng.choice(13, size=2, replace=False)
+            a, b = random_annulus_points(rng, acf.R, 2)
+            pairs.append((canonicalize(deep, int(s), a), canonicalize(deep, int(t), b)))
+        for sheet in range(16, 21):
+            for n in (1, 9, sheet):
+                glue = GluePointIndex(n, int(rng.integers(1, 2 ** n + 1)))
+                w = random_annulus_points(rng, acf.R, 1)[0]
+                pairs.append((canonicalize(deep, 0, glue=glue), canonicalize(deep, sheet, w)))
+        wins = 0
+        for p, q in pairs:
+            value, witness = glued_lower_bound(deep, p, q)
+            expected, expected_witness = reference_lower_bound(deep, p, q)
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+            assert witness == expected_witness
+            wins += witness.startswith("sheet-supported")
+        assert wins >= 10  # the candidate does win on some of these pairs
+
+    def test_points_next_to_the_outer_circle_get_brackets(self, cfg):
+        # w/R lies within 1e-9 of the unit circle here, closer than complex
+        # Blaschke evaluation accepts; the lower bound never needs it.
+        edge = canonicalize(cfg, 3, complex(cfg.annulus.R * (1 - 1e-12), 0.0))
+        for other in (canonicalize(cfg, 0, 2.0), canonicalize(cfg, 3, 2.0)):
+            br = glued_distance_bracket(cfg, edge, other)
+            assert 0.0 < br.lower <= br.upper < 1.0
 
 
 class TestNoncompactness:
