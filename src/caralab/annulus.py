@@ -121,12 +121,16 @@ def preimage_point(m: int) -> complex:
 
 
 def preimage_moduli(ms: np.ndarray) -> np.ndarray:
-    """|x(m)| for an integer array of indices m >= 2 (vectorized)."""
+    """|x(m)| for an integer array of indices m >= 2 (vectorized).
+
+    |(1 - e^{i phi}) / (1 + e^{i phi})| = tan(phi / 2), so with
+    phi = pi/2 - pi/m this is tan(pi/4 - pi/(2m)) in real arithmetic;
+    |x(2)| = tan(0) = 0 exactly.
+    """
     ms = np.asarray(ms)
     if np.any(ms < 2):
         raise ValueError("preimage indices must all be >= 2")
-    e = np.exp(1j * (math.pi / 2.0 - math.pi / ms))
-    return np.abs((1.0 - e) / (1.0 + e))
+    return np.tan(math.pi / 4.0 - math.pi / (2.0 * ms))
 
 
 def preimage_modulus_sq_formula(ms: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ EPS_BOUNDARY = 1e-9
 # open-interval contract |d| < 1 survives rounding for near-boundary pairs.
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 
-# Zeros per chunk in BlaschkeProduct.log_abs_at: its few work arrays of this
-# many doubles stay in cache.
+# Zeros per chunk in BlaschkeProduct.__call__ and log_abs_at: their few work
+# arrays of this many values stay in cache.
 _CHUNK = 1 << 13
 
 
@@ -91,13 +91,20 @@ class BlaschkeProduct:
             raise DiskDomainError(
                 f"Blaschke evaluation point too close to the unit circle: |z| = {abs(z)!r}"
             )
-        zs = self.zeros
-        # In place: two work arrays of len(zs) complex values at a time.
-        num = z - zs
-        den = (zs if zs.dtype.kind == "f" else np.conj(zs)) * z
-        np.subtract(1.0, den, out=den)
-        num /= den
-        return complex(np.prod(num))
+        # In chunks of _CHUNK zeros, two work arrays each.  The running
+        # product enters each chunk's first factor, so the factors multiply
+        # in one left-to-right order however the zeros are split.
+        value = 1.0 + 0.0j
+        for start in range(0, self.degree, _CHUNK):
+            a = self.zeros[start:start + _CHUNK]
+            num = z - a
+            den = (a if a.dtype.kind == "f" else np.conj(a)) * z
+            np.subtract(1.0, den, out=den)
+            num /= den
+            if start:
+                num[0] *= value
+            value = complex(np.prod(num))
+        return value
 
     def log_abs_at(self, z: complex) -> float:
         """log |B(z)| as a real sum over the factors; -inf at a zero.

@@ -36,6 +36,9 @@ from .sweeps import TWO_OVER_E, verify_one_over_e_products
 # Glue-index/coordinate agreement tolerance when both are supplied.
 GLUE_COORD_TOL = 1e-9
 
+# Deepest sheet any truncation may hold; sheet n carries 2^n glue points.
+MAX_SHEETS = 20
+
 # Cap on triangle-path exits per sheet; any subset of paths still certifies
 # an upper bound, and 32 exits keep cross-sheet queries fast.
 MAX_EXITS = 32
@@ -53,8 +56,10 @@ class SpaceConfig:
     sheets: int = 12
 
     def __post_init__(self):
-        if not 1 <= self.sheets <= 20:
-            raise ValueError(f"sheet truncation must lie in [1, 20], got {self.sheets!r}")
+        if not 1 <= self.sheets <= MAX_SHEETS:
+            raise ValueError(
+                f"sheet truncation must lie in [1, {MAX_SHEETS}], got {self.sheets!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,19 +71,15 @@ class GluePointIndex:
     slot: int
 
     def __post_init__(self):
-        if self.sheet < 1:
-            raise ValueError(f"glue sheet must be >= 1, got {self.sheet!r}")
+        if not 1 <= self.sheet <= MAX_SHEETS:
+            raise ValueError(f"glue sheet must lie in [1, {MAX_SHEETS}], got {self.sheet!r}")
         if not 1 <= self.slot <= 2 ** self.sheet:
             raise ValueError(
                 f"glue slot must lie in [1, {2 ** self.sheet}], got {self.slot!r}"
             )
 
-    @property
-    def denominator(self) -> int:
-        return 2 ** self.sheet + self.slot - 1
-
     def coordinate(self, R: float) -> float:
-        return R ** (1.0 - 1.0 / self.denominator)
+        return float(_glue_coordinates(R, self.sheet)[self.slot - 1])
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,26 @@ def parse_point(cfg: SpaceConfig, text: str) -> SpacePoint:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
+def _glue_coordinates(R: float, n: int) -> np.ndarray:
+    """The attachment coordinates R^(1 - 1/j), j = 2^n .. 2^(n+1) - 1, of
+    sheet n as one read-only float64 array; slot m sits at index m - 1.
+
+    Glue points, sheet-product zeros and glue-path exits all read this table,
+    so they agree to the bit (numpy's pow may differ from R ** (1 - 1/j) by
+    1 ulp).
+    """
+    j = np.arange(2 ** n, 2 ** (n + 1))
+    table = np.power(R, 1.0 - 1.0 / j)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=128)
 def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
-    # Zeros are the attachment coordinates of the target sheet scaled into
-    # the disk by 1/R, computed exactly as evaluation points are, so the
-    # vanishing at glue points is float-exact.
-    n = 2 ** target
-    zeros = (R ** (1.0 - 1.0 / j) / R for j in range(n, 2 * n))
-    return BlaschkeProduct(np.fromiter(zeros, dtype=float, count=n))
+    # Zeros are the glue coordinates of the target sheet divided by R, the
+    # same division an evaluation point takes, so the vanishing at glue
+    # points is float-exact.
+    return BlaschkeProduct(_glue_coordinates(R, target) / R)
 
 
 @dataclass(frozen=True)
@@ -291,15 +305,28 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     return best, witness
 
 
-def _exits(cfg: SpaceConfig, p: SpacePoint) -> List[SpacePoint]:
-    # Hops to sheet 0 happen at the attachment points of p's sheet; a point
-    # already on sheet 0 exits at itself.  Subsampling exits keeps the path
-    # family small while every retained path still certifies.
+@lru_cache(maxsize=None)
+def _exit_indices(sheet: int) -> np.ndarray:
+    # Subsampling exits keeps the path family small while every retained
+    # path still certifies.
+    n = 2 ** sheet
+    return np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else np.arange(n)
+
+
+def _exits(cfg: SpaceConfig, p: SpacePoint) -> np.ndarray:
+    # Hops to sheet 0 happen at the attachment points of p's sheet, read
+    # straight from its glue table; a point already on sheet 0 exits at itself.
     if p.sheet == 0:
-        return [p]
-    n = 2 ** p.sheet
-    idx = np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else range(n)
-    return [canonicalize(cfg, 0, glue=GluePointIndex(p.sheet, int(i) + 1)) for i in idx]
+        return np.array([p.coord])
+    return _glue_coordinates(cfg.annulus.R, p.sheet)[_exit_indices(p.sheet)]
+
+
+def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:
+    """The i-th exit of p as a canonical point, for the witness."""
+    if p.sheet == 0:
+        return p
+    glue = GluePointIndex(p.sheet, int(_exit_indices(p.sheet)[i]) + 1)
+    return canonicalize(cfg, 0, glue=glue)
 
 
 def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
@@ -326,15 +353,14 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
         v, w = annulus_upper_bound(acf, p.coord, q.coord)
         return v, f"restriction[{w}]"
 
-    exits_p, exits_q = _exits(cfg, p), _exits(cfg, q)
-    a = np.array([e.coord for e in exits_p])
-    b = np.array([e.coord for e in exits_q])
+    a, b = _exits(cfg, p), _exits(cfg, q)
     h_p = _poincare_upper(acf, p.coord, a)
     mid = _poincare_upper(acf, a[:, None], b)
     h_q = _poincare_upper(acf, b, q.coord)
     total = h_p[:, None] + mid + h_q[None, :]
     i, j = np.unravel_index(np.argmin(total), total.shape)
-    witness = f"glue path via exits {format_point(exits_p[i])}; {format_point(exits_q[j])}"
+    exit_p, exit_q = _exit_point(cfg, p, i), _exit_point(cfg, q, j)
+    witness = f"glue path via exits {format_point(exit_p)}; {format_point(exit_q)}"
     # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
     value = min(math.tanh(total[i, j]), _ONE_MINUS)
 

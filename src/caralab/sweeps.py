@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .annulus import preimage_moduli, preimage_modulus_sq_formula
+from .annulus import preimage_moduli
 
 # Float noise thresholds: algebraic identities vs optimizer-tainted values.
 EPS_ALGEBRAIC = 1e-12
@@ -23,6 +23,10 @@ EPS_NUMERIC = 1e-9
 TWO_PI = 2.0 * math.pi
 ONE_OVER_E = 1.0 / math.e
 TWO_OVER_E = 2.0 / math.e
+
+# Indices per slice of a block sum in _block_log_sums: the slice's few work
+# arrays stay in cache.  At least 2^12, so blocks n <= 12 stay one slice.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,24 @@ def _pick_samples(ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> li
 
 def _log0(values: np.ndarray) -> np.ndarray:
     """Elementwise log, with -inf wherever a value is not positive."""
-    return np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
+    return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
 
 
 def _block_log_sums(f, n_max: int) -> Tuple[float, ...]:
     """Sums of log f(m) (-inf where f(m) <= 0) over the blocks
     m = 2^n .. 2^(n+1)-1, n = 1..n_max.
 
-    One block at a time, so the largest work array holds 2^n_max values.
+    Each block is evaluated and summed in slices of _CHUNK indices; a block
+    of at most _CHUNK indices is one slice and one np.sum.
     """
-    return tuple(
-        float(np.sum(_log0(f(np.arange(2 ** n, 2 ** (n + 1)))))) for n in range(1, n_max + 1)
-    )
+    sums = []
+    for n in range(1, n_max + 1):
+        stop = 2 ** (n + 1)
+        sums.append(sum(
+            float(np.sum(_log0(f(np.arange(m, min(m + _CHUNK, stop))))))
+            for m in range(2 ** n, stop, _CHUNK)
+        ))
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)

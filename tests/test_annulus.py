@@ -111,6 +111,20 @@ class TestPreimagePoint:
         sq = preimage_moduli(ms) ** 2
         assert np.max(np.abs(sq - preimage_modulus_sq_formula(ms))) <= 1e-12
 
+    def test_moduli_match_a_40_digit_reference(self):
+        # |x(m)| = tan(pi/4 - pi/(2m)) for m = 2..200 and 3,000 random m < 2^21.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+        ms = np.concatenate([np.arange(2, 201), rng.integers(201, 2 ** 21, 3000)])
+        x = preimage_moduli(ms)
+        assert x[0] == 0.0
+        with mpmath.workdps(40):
+            worst = max(
+                abs(mpmath.mpf(float(v)) / mpmath.tan(mpmath.pi / 4 - mpmath.pi / (2 * int(m))) - 1)
+                for m, v in zip(ms[1:], x[1:])
+            )
+        assert worst <= 4e-16
+
     def test_large_index_two_pi_scaling(self):
         m = 1000
         x = preimage_point(m)

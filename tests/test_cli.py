@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import caralab
 
 from caralab import BracketOrderError, CoveringBranchError, EvaluationEscapeError, cli
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
@@ -195,3 +201,23 @@ class TestInternalErrors:
         assert code == EXIT_VERIFICATION_FAILURE
         assert out == ""
         assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+class TestColdStart:
+    ARGV = ["glued", "distance", "--N", "20", "--family-degree", "2", "--grid-density", "2",
+            "17:2,0.5", "20:-1.5,1.2"]
+
+    def test_fresh_processes_match_a_warm_run(self, capsys):
+        # Two interpreters build every table from scratch; this one reuses them.
+        src = str(Path(caralab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cold = [
+            subprocess.run([sys.executable, "-m", "caralab.cli", *self.ARGV],
+                           capture_output=True, env=env, check=True).stdout
+            for _ in range(2)
+        ]
+        run(capsys, self.ARGV)
+        code, warm, _ = run(capsys, self.ARGV)
+        assert code == EXIT_OK
+        assert cold[0] == cold[1] == warm.encode()

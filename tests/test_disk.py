@@ -26,6 +26,19 @@ disk_points = st.builds(
 )
 
 
+# (zeros, z) checked against 40-digit references.  Sheet 14 at R = 4: 2^14
+# real zeros crowding 1, at an interior point and 2 % off the outer circle,
+# just off the real axis.  Then complex zeros, one of them tiny; the last
+# point sits next to a zero.
+REFERENCE_CASES = [
+    ("sheet14", complex(2.0, 0.5) / 4.0),
+    ("sheet14", cmath.rect(0.98, 0.05)),
+    ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), 0.3 - 0.4j),
+    ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), cmath.rect(0.97, 2.0)),
+    ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j), 0.5 + 0.3000001j),
+]
+
+
 class TestMobiusDistance:
     def test_center_case_reduces_to_modulus(self):
         assert mobius_distance(0.0, complex(0.3, 0.4)) == pytest.approx(0.5, abs=1e-15)
@@ -130,20 +143,7 @@ class TestBlaschkeProduct:
         B = BlaschkeProduct(zeros=zeros)
         assert math.isfinite(B.log_abs_at(0.05))
 
-    @pytest.mark.parametrize(
-        "zeros, z",
-        [
-            # Sheet 14 at R = 4: 2^14 real zeros crowding 1, at an interior
-            # point and 2 % off the outer circle, just off the real axis.
-            ("sheet14", complex(2.0, 0.5) / 4.0),
-            ("sheet14", cmath.rect(0.98, 0.05)),
-            # Complex zeros, one of them tiny; the last point sits next to a
-            # zero, where the factor is taken from |z - a| directly.
-            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), 0.3 - 0.4j),
-            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j, 1e-160j), cmath.rect(0.97, 2.0)),
-            ((0.5 + 0.3j, -0.2 + 0.7j, 0.9j, -0.6 - 0.1j), 0.5 + 0.3000001j),
-        ],
-    )
+    @pytest.mark.parametrize("zeros, z", REFERENCE_CASES)
     def test_log_abs_matches_a_40_digit_reference(self, zeros, z):
         mpmath = pytest.importorskip("mpmath")
         B = _sheet_blaschke(4.0, 14) if zeros == "sheet14" else BlaschkeProduct(zeros)
@@ -158,6 +158,20 @@ class TestBlaschkeProduct:
 
             exact = mpmath.fsum(map(log_factor_sq, B.zeros.astype(complex).tolist())) / 2
             assert abs((B.log_abs_at(z) - exact) / exact) <= 1e-13
+
+    @pytest.mark.parametrize("zeros, z", REFERENCE_CASES)
+    def test_value_matches_a_40_digit_reference(self, zeros, z):
+        # Sheet 14 spans two chunks of zeros, so the running product crosses
+        # a chunk boundary.
+        mpmath = pytest.importorskip("mpmath")
+        B = _sheet_blaschke(4.0, 14) if zeros == "sheet14" else BlaschkeProduct(zeros)
+        with mpmath.workdps(40):
+            w = mpmath.mpc(z.real, z.imag)
+            exact = mpmath.fprod(
+                (w - a) / (1 - mpmath.conj(a) * w)
+                for a in map(mpmath.mpc, B.zeros.astype(complex).tolist())
+            )
+            assert abs(B(z) - exact) <= 1e-13 * abs(exact)
 
     def test_maps_disk_into_disk(self):
         rng = np.random.default_rng(5)

@@ -29,7 +29,14 @@ from caralab import (
     parse_point,
     recanonicalize,
 )
-from caralab.glued import _one_over_e_threshold, _sheet_blaschke
+from caralab.glued import (
+    MAX_EXITS,
+    _exit_point,
+    _exits,
+    _glue_coordinates,
+    _one_over_e_threshold,
+    _sheet_blaschke,
+)
 from caralab.sweeps import TWO_OVER_E, _block_log_moduli
 from conftest import random_annulus_points
 
@@ -58,6 +65,8 @@ class TestGluePoints:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             GluePointIndex(0, 1)
+        with pytest.raises(ValueError):  # deeper than any truncation
+            GluePointIndex(21, 1)
         with pytest.raises(ValueError):
             GluePointIndex(2, 5)
 
@@ -137,6 +146,18 @@ class TestAdmissibleFunctions:
                 assert F.evaluate_on_representative(cfg, n, c) == 0.0
                 assert F.evaluate_on_representative(cfg, 0, c) == 0.0
 
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_every_glue_point_is_a_zero_of_its_sheet_product(self, R):
+        # Every slot on sheets 1-12, four sampled slots on each of 13-20.
+        cfg = SpaceConfig(annulus=AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=20)
+        rng = np.random.default_rng(11)
+        for n in range(1, 21):
+            F = AdmissibleFunction.sheet_supported(n)
+            slots = range(1, 2 ** n + 1) if n <= 12 else rng.integers(1, 2 ** n + 1, 4)
+            for m in slots:
+                c = GluePointIndex(n, int(m)).coordinate(R)
+                assert F.evaluate_on_representative(cfg, n, c) == 0.0
+
     def test_quotient_soundness_at_identified_points(self, cfg):
         fam = [
             AdmissibleFunction.pullback(lambda w: 1.0 / w, "1/w"),
@@ -164,6 +185,58 @@ class TestAdmissibleFunctions:
         F = AdmissibleFunction.pullback(lambda w: w, "identity")
         with pytest.raises(EvaluationEscapeError):
             evaluate_admissible(cfg, F, canonicalize(cfg, 0, 2.5))
+
+
+class TestGlueCoordinateTable:
+    """One read-only table per (R, sheet) feeds glue points, sheet-product
+    zeros and glue-path exits."""
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_coordinates_are_within_one_ulp_of_pow(self, R):
+        # numpy's pow may round R^(1 - 1/j) the other way from Python's.
+        for n in range(1, 21):
+            step = 1 if n <= 16 else 97  # every slot through sheet 16
+            js = range(2 ** n, 2 ** (n + 1), step)
+            exact = np.array([R ** (1.0 - 1.0 / j) for j in js])
+            coords = _glue_coordinates(R, n)[::step]
+            assert np.all(np.abs(coords - exact) <= np.spacing(exact))
+            last = GluePointIndex(n, (len(js) - 1) * step + 1)
+            assert last.coordinate(R) == coords[-1]
+
+    def test_tables_are_read_only_float64(self):
+        for n in (1, 9, 16):
+            table = _glue_coordinates(4.0, n)
+            assert table.dtype == np.float64 and table.shape == (2 ** n,)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_tables_are_bitwise_stable_across_a_cache_clear(self):
+        keys = [(R, n) for R in (1.5, 4.0, 10.0) for n in (1, 7, 12, 16)]
+        before = {key: _glue_coordinates(*key).tobytes() for key in keys}
+        _glue_coordinates.cache_clear()
+        assert {key: _glue_coordinates(*key).tobytes() for key in keys} == before
+
+    def test_sheet_product_zeros_are_the_table_over_R(self):
+        for R in (1.5, 4.0):
+            for n in (3, 12):
+                assert np.array_equal(_sheet_blaschke(R, n).zeros, _glue_coordinates(R, n) / R)
+
+    @pytest.mark.parametrize("sheet", [1, 3, 5, 6, 12])
+    def test_exits_match_their_canonical_glue_points(self, cfg, sheet):
+        # The exits as canonical glue points, spread evenly by slot.
+        n = 2 ** sheet
+        idx = np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else range(n)
+        glue = [canonicalize(cfg, 0, glue=GluePointIndex(sheet, int(i) + 1)) for i in idx]
+        p = canonicalize(cfg, sheet, 2.5)
+        assert _exits(cfg, p).tolist() == [e.coord.real for e in glue]
+        points = [_exit_point(cfg, p, i) for i in range(len(glue))]
+        assert [format_point(e) for e in points] == [format_point(e) for e in glue]
+
+    def test_a_sheet_zero_end_exits_at_itself(self, cfg):
+        p = canonicalize(cfg, 0, complex(2.5, 0.3))
+        assert _exits(cfg, p).tolist() == [p.coord]
+        assert _exit_point(cfg, p, 0) is p
 
 
 class TestGluedBounds:

@@ -12,7 +12,14 @@ from caralab import (
     verify_two_pi_limit,
     verify_upper_bound_sweep,
 )
-from caralab.sweeps import _block_log_moduli, _suffix_threshold, lower_bound_quotient, tau
+from caralab.sweeps import (
+    _block_log_moduli,
+    _block_log_sums,
+    _log0,
+    _suffix_threshold,
+    lower_bound_quotient,
+    tau,
+)
 
 
 class TestBoundConstants:
@@ -179,6 +186,25 @@ class TestBlockLogModuli:
 
     def test_shorter_table_is_a_bitwise_prefix(self):
         assert _block_log_moduli(20)[:12] == _block_log_moduli(12)
+
+    @pytest.mark.parametrize(
+        "f",
+        [preimage_moduli, lambda ms: lower_bound_quotient(4.0, ms)],
+        ids=["moduli", "lower-quotient"],
+    )
+    def test_sliced_blocks_match_whole_block_sums(self, f):
+        # Blocks past 2^12 indices are summed slice by slice.
+        for n, block_sum in enumerate(_block_log_sums(f, 20), start=1):
+            if n > 12:
+                whole = float(np.sum(np.log(f(np.arange(2 ** n, 2 ** (n + 1))))))
+                assert block_sum == pytest.approx(whole, rel=1e-14)
+
+    def test_guarded_log(self):
+        v = np.array([0.0, -1.0, 0.5, 2.0])
+        with np.errstate(all="raise"):
+            out = _log0(v)
+        assert out[0] == out[1] == -math.inf
+        assert out[2:].tolist() == np.log(v[2:]).tolist()
 
 
 class TestDeterminismAndSerialization:
