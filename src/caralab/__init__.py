@@ -12,7 +12,6 @@ from .disk import (
     EPS_BOUNDARY,
     BlaschkeProduct,
     DiskDomainError,
-    blaschke_eval,
     disk_automorphism,
     mobius_distance,
     poincare_distance,
@@ -80,7 +79,6 @@ __all__ = [
     "annulus_lower_bound",
     "annulus_upper_bound",
     "ball_inclusion_radius",
-    "blaschke_eval",
     "canonicalize",
     "completeness_probe",
     "covering_map",

@@ -41,7 +41,6 @@ class AnnulusConfig:
     R: float
     family_degree: int = 4
     grid_density: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 1.0 + 1e-9):

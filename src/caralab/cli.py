@@ -22,7 +22,7 @@ from .annulus import (
     CoveringBranchError,
     annulus_distance_bracket,
 )
-from .disk import DiskDomainError, poincare_distance, _atanh
+from .disk import DiskDomainError, _atanh
 from .glued import (
     EvaluationEscapeError,
     SpaceConfig,
@@ -90,12 +90,9 @@ def _sweeps_to_csv(sweeps: List[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, document: dict, sweeps: Optional[List[dict]] = None) -> None:
-    if args.format == "csv":
-        if sweeps is None:
-            raise ValueError("csv export is available for sweep reports only")
-        text = _sweeps_to_csv(sweeps)
-    else:
+def _emit(args, document: dict, text: Optional[str] = None) -> None:
+    """Write text, by default the document as JSON, to --out or stdout."""
+    if text is None:
         text = render_json(document) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -104,26 +101,25 @@ def _emit(args, document: dict, sweeps: Optional[List[dict]] = None) -> None:
         sys.stdout.write(text)
 
 
-def _annulus_config(args, R: float) -> AnnulusConfig:
+def _document(args, command: str, **fields) -> dict:
+    """A report: its command, the options the command took, then fields."""
+    return {
+        "tool": "caralab",
+        "version": __version__,
+        "command": command,
+        "config": {key: getattr(args, key) for key in args.config_keys},
+        **fields,
+    }
+
+
+def _annulus_config(args) -> AnnulusConfig:
     return AnnulusConfig(
-        R=R,
-        family_degree=args.family_degree,
-        grid_density=args.grid_density,
-        seed=args.seed,
+        R=args.R, family_degree=args.family_degree, grid_density=args.grid_density
     )
 
 
-def _config_echo(args) -> dict:
-    return {
-        "R": [float(r) for r in args.R],
-        "N": args.N,
-        "m_max": args.m_max,
-        "n_max": args.n_max,
-        "family_degree": args.family_degree,
-        "grid_density": args.grid_density,
-        "seed": args.seed,
-        "format": args.format,
-    }
+def _space_config(args) -> SpaceConfig:
+    return SpaceConfig(annulus=_annulus_config(args), sheets=args.N)
 
 
 def _bracket_record(bracket) -> dict:
@@ -139,6 +135,7 @@ def _bracket_record(bracket) -> dict:
 
 
 def cmd_verify_lemmas(args) -> int:
+    args.R = args.R or [4.0]
     sweeps = []
     t0 = time.perf_counter()
     sweeps.append(verify_upper_bound_sweep(args.m_max).to_dict())
@@ -149,14 +146,8 @@ def cmd_verify_lemmas(args) -> int:
         sweeps.append(verify_one_over_e_products(R, args.n_max).to_dict())
     print(f"[timing] sweeps: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
 
-    document = {
-        "tool": "caralab",
-        "version": __version__,
-        "command": "verify-lemmas",
-        "config": _config_echo(args),
-        "sweeps": sweeps,
-    }
-    _emit(args, document, sweeps)
+    document = _document(args, "verify-lemmas", sweeps=sweeps)
+    _emit(args, document, _sweeps_to_csv(sweeps) if args.format == "csv" else None)
     failing = [s["parameter_name"] for s in sweeps if not s["passed"]]
     if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
@@ -172,65 +163,89 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_annulus_distance(args) -> int:
-    cfg = _annulus_config(args, args.R[0])
-    a = _parse_complex(args.a)
-    b = _parse_complex(args.b)
-    bracket = annulus_distance_bracket(cfg, a, b)
-    document = {
-        "tool": "caralab",
-        "version": __version__,
-        "command": "annulus-distance",
-        "config": _config_echo(args),
-        "a": args.a,
-        "b": args.b,
-        "bracket": _bracket_record(bracket),
-    }
-    _emit(args, document)
+    bracket = annulus_distance_bracket(
+        _annulus_config(args), _parse_complex(args.a), _parse_complex(args.b)
+    )
+    _emit(args, _document(
+        args, "annulus-distance", a=args.a, b=args.b, bracket=_bracket_record(bracket)
+    ))
     return EXIT_OK
 
 
-def cmd_glued(args) -> int:
-    cfg = SpaceConfig(annulus=_annulus_config(args, args.R[0]), sheets=args.N)
-    document = {
-        "tool": "caralab",
-        "version": __version__,
-        "command": f"glued {args.glued_command}",
-        "config": _config_echo(args),
-    }
-    ok = True
-    if args.glued_command == "distance":
-        p = parse_point(cfg, args.p)
-        q = parse_point(cfg, args.q)
-        bracket = glued_distance_bracket(cfg, p, q)
-        document["p"] = format_point(p)
-        document["q"] = format_point(q)
-        document["bracket"] = _bracket_record(bracket)
-    elif args.glued_command == "noncompact":
-        report = noncompactness_probe(cfg, min(args.n_max, cfg.sheets))
-        document["noncompactness"] = report.to_dict()
-        ok = report.passed
-    elif args.glued_command == "complete":
-        seq = [parse_point(cfg, s) for s in args.points]
-        report = completeness_probe(cfg, seq)
-        document["completeness"] = report.to_dict()
-    elif args.glued_command == "ball":
-        z = parse_point(cfg, args.z)
-        r1, _, r2 = args.band.partition(",")
-        sheets = [int(s) for s in args.band_sheets.split(",")] if args.band_sheets else list(
-            range(cfg.sheets + 1)
-        )
-        radius = ball_inclusion_radius(
-            cfg, z, (float(r1), float(r2)), sheets, samples=args.samples
-        )
-        document["ball"] = {
-            "centre": format_point(z),
-            "band": [float(r1), float(r2)],
-            "band_sheets": sheets,
-            "scale": "poincare",
-            "radius": radius,
-        }
-    _emit(args, document)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
+def cmd_glued_distance(args) -> int:
+    cfg = _space_config(args)
+    p = parse_point(cfg, args.p)
+    q = parse_point(cfg, args.q)
+    bracket = glued_distance_bracket(cfg, p, q)
+    _emit(args, _document(
+        args, "glued distance",
+        p=format_point(p), q=format_point(q), bracket=_bracket_record(bracket),
+    ))
+    return EXIT_OK
+
+
+def cmd_glued_noncompact(args) -> int:
+    cfg = _space_config(args)
+    report = noncompactness_probe(cfg, min(args.n_max, cfg.sheets))
+    _emit(args, _document(args, "glued noncompact", noncompactness=report.to_dict()))
+    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILURE
+
+
+def cmd_glued_complete(args) -> int:
+    cfg = _space_config(args)
+    report = completeness_probe(cfg, [parse_point(cfg, s) for s in args.points])
+    _emit(args, _document(args, "glued complete", completeness=report.to_dict()))
+    return EXIT_OK
+
+
+def cmd_glued_ball(args) -> int:
+    cfg = _space_config(args)
+    z = parse_point(cfg, args.z)
+    r1, _, r2 = args.band.partition(",")
+    band = (float(r1), float(r2))
+    sheets = [int(s) for s in args.band_sheets.split(",")] if args.band_sheets else list(
+        range(cfg.sheets + 1)
+    )
+    radius = ball_inclusion_radius(cfg, z, band, sheets, samples=args.samples, seed=args.seed)
+    _emit(args, _document(args, "glued ball", ball={
+        "centre": format_point(z),
+        "band": band,
+        "band_sheets": sheets,
+        "scale": "poincare",
+        "radius": radius,
+    }))
+    return EXIT_OK
+
+
+# Every option, under the key its report's config echoes it by: flag and
+# argparse keywords.  A command takes only the options it reads, plus --out.
+OPTIONS = {
+    "R": ("--R", dict(type=float, default=4.0, help="outer annulus radius (default 4)")),
+    "N": ("--N", dict(type=int, default=12, help="sheet truncation (default 12)")),
+    "m_max": ("--m-max", dict(type=int, default=10 ** 6)),
+    "n_max": ("--n-max", dict(type=int, default=20)),
+    "family_degree": ("--family-degree", dict(type=int, default=4)),
+    "grid_density": ("--grid-density", dict(type=int, default=3)),
+    "format": ("--format", dict(choices=("json", "csv"), default="json")),
+    "band": ("--band", dict(required=True, help="compact band 'r1,r2'")),
+    "band_sheets": ("--band-sheets", dict(
+        default=None, help="comma-separated sheet subset (default all)")),
+    "samples": ("--samples", dict(type=int, default=200)),
+    "seed": ("--seed", dict(type=int, default=0, help="sample-cloud seed (default 0)")),
+}
+GLUED = ("R", "N", "family_degree", "grid_density")
+
+
+def _command(subs, name: str, func, summary: str, keys: tuple, **changed):
+    """A subcommand taking the options named by keys and --out; changed maps
+    a key to argparse keywords that replace its defaults in OPTIONS."""
+    sub = subs.add_parser(name, help=summary)
+    for key in keys:
+        flag, kwargs = OPTIONS[key]
+        sub.add_argument(flag, dest=key, **{**kwargs, **changed.get(key, {})})
+    sub.add_argument("--out", default=None, help="output path (default stdout)")
+    sub.set_defaults(func=func, config_keys=keys)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,66 +254,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified Mobius-distance brackets on the annulus and its glued quotient.",
     )
     parser.add_argument("--version", action="version", version=f"caralab {__version__}")
-
-    def add_common(sub):
-        sub.add_argument("--R", action="append", type=float, default=None,
-                         help="outer annulus radius, repeatable (default 4)")
-        sub.add_argument("--N", type=int, default=12, help="sheet truncation (default 12)")
-        sub.add_argument("--m-max", dest="m_max", type=int, default=10 ** 6)
-        sub.add_argument("--n-max", dest="n_max", type=int, default=20)
-        sub.add_argument("--family-degree", dest="family_degree", type=int, default=4)
-        sub.add_argument("--grid-density", dest="grid_density", type=int, default=3)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
-        sub.add_argument("--out", default=None, help="output path (default stdout)")
-
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subs.add_parser("verify-lemmas", help="run all inequality sweeps")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify_lemmas)
+    _command(
+        subs, "verify-lemmas", cmd_verify_lemmas, "run all inequality sweeps",
+        ("R", "m_max", "n_max", "format"),
+        R=dict(action="append", default=None, help="outer annulus radius, repeatable (default 4)"),
+    )
 
-    p_ann = subs.add_parser("annulus-distance", help="bracket an annulus pair")
-    add_common(p_ann)
+    p_ann = _command(
+        subs, "annulus-distance", cmd_annulus_distance, "bracket an annulus pair",
+        ("R", "family_degree", "grid_density"),
+    )
     p_ann.add_argument("a", help="point 're,im'")
     p_ann.add_argument("b", help="point 're,im'")
-    p_ann.set_defaults(func=cmd_annulus_distance)
 
     p_glued = subs.add_parser("glued", help="glued-space queries and probes")
     glued_subs = p_glued.add_subparsers(dest="glued_command", required=True)
 
-    g_dist = glued_subs.add_parser("distance", help="bracket a glued pair")
-    add_common(g_dist)
+    g_dist = _command(
+        glued_subs, "distance", cmd_glued_distance, "bracket a glued pair", GLUED
+    )
     g_dist.add_argument("p", help="point 'sheet:re,im' or 'glue:n,m'")
     g_dist.add_argument("q", help="point 'sheet:re,im' or 'glue:n,m'")
-    g_dist.set_defaults(func=cmd_glued)
 
-    g_non = glued_subs.add_parser("noncompact", help="2/e-ball non-compactness probe")
-    add_common(g_non)
-    g_non.set_defaults(func=cmd_glued)
+    _command(
+        glued_subs, "noncompact", cmd_glued_noncompact, "2/e-ball non-compactness probe",
+        GLUED + ("n_max",),
+    )
 
-    g_comp = glued_subs.add_parser("complete", help="sequence completeness probe")
-    add_common(g_comp)
+    g_comp = _command(
+        glued_subs, "complete", cmd_glued_complete, "sequence completeness probe", GLUED
+    )
     g_comp.add_argument("points", nargs="+", help="sequence of points")
-    g_comp.set_defaults(func=cmd_glued)
 
-    g_ball = glued_subs.add_parser("ball", help="ball-inclusion radius search")
-    add_common(g_ball)
+    g_ball = _command(
+        glued_subs, "ball", cmd_glued_ball, "ball-inclusion radius search",
+        GLUED + ("band", "band_sheets", "samples", "seed"),
+    )
     g_ball.add_argument("z", help="centre point")
-    g_ball.add_argument("--band", required=True, help="compact band 'r1,r2'")
-    g_ball.add_argument("--band-sheets", dest="band_sheets", default=None,
-                        help="comma-separated sheet subset (default all)")
-    g_ball.add_argument("--samples", type=int, default=200)
-    g_ball.set_defaults(func=cmd_glued)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.R is None:
-        args.R = [4.0]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, DiskDomainError, AnnulusDomainError) as exc:

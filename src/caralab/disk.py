@@ -150,11 +150,6 @@ class BlaschkeProduct:
         return 0.5 * total
 
 
-def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:
-    """Evaluate a finite Blaschke product at a point of the open disk."""
-    return product(z)
-
-
 def disk_automorphism(a: complex, theta: float = 0.0) -> Callable[[complex], complex]:
     """The automorphism z -> e^{i theta} (z - a) / (1 - conj(a) z)."""
     a = _as_disk_point(a, "a")

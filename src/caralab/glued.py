@@ -534,6 +534,7 @@ def ball_inclusion_radius(
     band: Tuple[float, float],
     band_sheets: Sequence[int],
     samples: int = 200,
+    seed: int = 0,
 ) -> Optional[float]:
     """Largest dyadic radius r with no sampled point outside the compact band
     K at certified Poincare upper distance < r from z; None if none works.
@@ -553,7 +554,7 @@ def ball_inclusion_radius(
     if not (r1 < abs(z.coord) < r2) or z.sheet not in sheets:
         raise ValueError("centre must lie strictly inside the compact region")
 
-    rng = np.random.default_rng(cfg.annulus.seed)
+    rng = np.random.default_rng(seed)
     margin = 1e-3 * (R - 1.0)
     radii = rng.uniform(1.0 + margin, R - margin, samples)
     angles = rng.uniform(0.0, 2.0 * math.pi, samples)

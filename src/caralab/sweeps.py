@@ -83,6 +83,16 @@ def _suffix_threshold(values: np.ndarray, start: int) -> Optional[int]:
     return start if bad.size == 0 else start + int(bad[-1]) + 1
 
 
+def _threshold_and_worst(
+    ok: np.ndarray, start: int, *margins: np.ndarray
+) -> Tuple[Optional[int], float]:
+    """The suffix threshold of ok, and the least of the margins from it on,
+    or over the whole range if no threshold is reached."""
+    threshold = _suffix_threshold(ok, start)
+    first = 0 if threshold is None else threshold - start
+    return threshold, float(min(np.min(m[first:]) for m in margins))
+
+
 def _pick_samples(ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> list:
     out = []
     for m in picks:
@@ -155,21 +165,14 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
 
     elementary_ok = bool(np.all(elem_margin >= -EPS_ALGEBRAIC))
     ok = (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC)
-    m1 = _suffix_threshold(ok, 2)
+    m1, worst = _threshold_and_worst(ok, 2, lin_margin, quad_margin)
 
     passed = elementary_ok and m1 is not None
     notes = []
-    if m1 is not None:
-        post = slice(m1 - 2, None)
-        worst = float(min(lin_margin[post].min(), quad_margin[post].min()))
-        if m1 > 2 and ok[m1 - 3]:
-            passed = False
-            notes.append(f"threshold m1={m1} is not minimal")
-        elif m1 > 2:
-            notes.append(f"m1-1={m1 - 1} exhibits a violation, threshold minimal")
-    else:
-        worst = float(min(lin_margin.min(), quad_margin.min()))
+    if m1 is None:
         notes.append("threshold not yet reached in range")
+    elif m1 > 2:
+        notes.append(f"m1-1={m1 - 1} exhibits a violation, threshold minimal")
     if not elementary_ok:
         notes.append("elementary inequality (1-|x|^2)/2 <= 1-|x| violated")
 
@@ -239,17 +242,11 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     tau_floor = -1.5 * (s + 1.0) * math.log(R)
     tau_ok = tau(R, ms) >= tau_floor - EPS_ALGEBRAIC
     ok = (margin >= -EPS_ALGEBRAIC) & tau_ok
-    m2 = _suffix_threshold(ok, 3)
+    m2, worst = _threshold_and_worst(ok, 3, margin)
 
     notes = [f"K(R)={consts.K_of_R:.12g}"]
     passed = positivity_ok and m2 is not None
-    if m2 is not None:
-        worst = float(margin[m2 - 3 :].min())
-        if m2 > 3 and ok[m2 - 4]:
-            passed = False
-            notes.append(f"threshold m2={m2} is not minimal")
-    else:
-        worst = float(margin.min())
+    if m2 is None:
         notes.append("threshold not yet reached in range")
     if not positivity_ok:
         notes.append("quotient positivity violated for some m >= 3")
@@ -324,11 +321,10 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
         if n in (1, n_max // 2, n_max):
             samples.append((n, left, right))
 
-    threshold = _suffix_threshold(np.array(ok_rows), 1)
+    threshold, worst = _threshold_and_worst(np.array(ok_rows), 1, np.array(margins))
     passed = threshold is not None
     notes = []
     if threshold is not None:
-        worst = float(min(margins[threshold - 1 :]))
         base = 1.0 - K / 2 ** n_max
         left_val = abs(base) ** (2 ** n_max)
         target = math.exp(-K)
@@ -340,7 +336,6 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
             passed = False
             notes.append(f"left endpoint deviates {dev:.3e} from e^-K(R)")
     else:
-        worst = float(min(margins))
         notes.append("threshold not yet reached in range")
 
     return SweepResult(
@@ -374,9 +369,8 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
         if n in (1, 2, n_max):
             samples.append((n, math.exp(log_prod) if math.isfinite(log_prod) else 0.0, ONE_OVER_E))
 
-    n0 = _suffix_threshold(np.array(ok_rows), 1)
+    n0, worst = _threshold_and_worst(np.array(ok_rows), 1, np.array(margins))
     passed = n0 is not None
-    worst = float(min(margins[n0 - 1 :])) if n0 is not None else float(min(margins))
     notes = f"implied Mobius-scale ball radius 2/e = {TWO_OVER_E:.12g}"
     if n0 is None:
         notes += "; threshold not yet reached in range"

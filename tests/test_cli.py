@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,13 +9,23 @@ import pytest
 
 import caralab
 
-from caralab import BracketOrderError, CoveringBranchError, EvaluationEscapeError, cli
+from caralab import (
+    AnnulusConfig,
+    BracketOrderError,
+    CoveringBranchError,
+    EvaluationEscapeError,
+    SpaceConfig,
+    cli,
+    glued_distance_bracket,
+    parse_point,
+)
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
 from caralab.sweeps import _block_log_moduli
 
-FAST = [
-    "--m-max", "2000", "--n-max", "8", "--family-degree", "1", "--grid-density", "2",
-]
+# Fast settings: sweep ranges for verify-lemmas, a small test-map family for
+# the commands that bound distances.
+SWEEP = ["--m-max", "2000", "--n-max", "8"]
+BOUND = ["--family-degree", "1", "--grid-density", "2"]
 
 
 def run(capsys, argv):
@@ -43,7 +54,7 @@ class TestRenderJson:
 
 class TestVerifyLemmas:
     def test_happy_path_json(self, capsys):
-        code, out, err = run(capsys, ["verify-lemmas", *FAST])
+        code, out, err = run(capsys, ["verify-lemmas", *SWEEP])
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["command"] == "verify-lemmas"
@@ -53,7 +64,7 @@ class TestVerifyLemmas:
         assert "[timing]" in err
 
     def test_repeatable_radius_flag(self, capsys):
-        code, out, _ = run(capsys, ["verify-lemmas", *FAST, "--R", "2", "--R", "10"])
+        code, out, _ = run(capsys, ["verify-lemmas", *SWEEP, "--R", "2", "--R", "10"])
         assert code == EXIT_OK
         names = [s["parameter_name"] for s in json.loads(out)["sweeps"]]
         assert "m2(R=2)" in names and "m2(R=10)" in names
@@ -61,7 +72,7 @@ class TestVerifyLemmas:
     def test_block_table_is_computed_once(self, capsys):
         # Both block sweeps at every radius read one R-free table.
         _block_log_moduli.cache_clear()
-        code, _, _ = run(capsys, ["verify-lemmas", *FAST, "--R", "1.5", "--R", "4", "--R", "10"])
+        code, _, _ = run(capsys, ["verify-lemmas", *SWEEP, "--R", "1.5", "--R", "4", "--R", "10"])
         assert code == EXIT_OK
         info = _block_log_moduli.cache_info()
         assert (info.misses, info.hits) == (1, 5)
@@ -69,7 +80,7 @@ class TestVerifyLemmas:
     def test_csv_export(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
         code, _, _ = run(
-            capsys, ["verify-lemmas", *FAST, "--format", "csv", "--out", str(out_file)]
+            capsys, ["verify-lemmas", *SWEEP, "--format", "csv", "--out", str(out_file)]
         )
         assert code == EXIT_OK
         lines = out_file.read_text().splitlines()
@@ -80,7 +91,7 @@ class TestVerifyLemmas:
         # n_max=1 cannot reach the chain threshold; that is reported, not failed
         # as long as the sweep itself cannot certify - here it exits 1 because
         # the chain genuinely does not hold yet at n=1.
-        code, out, _ = run(capsys, ["verify-lemmas", *FAST[:2], "--n-max", "1"])
+        code, out, _ = run(capsys, ["verify-lemmas", *SWEEP[:2], "--n-max", "1"])
         doc = json.loads(out)
         chain = next(s for s in doc["sweeps"] if s["parameter_name"].startswith("chain"))
         assert chain["threshold_found"] is None
@@ -89,12 +100,12 @@ class TestVerifyLemmas:
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, ["verify-lemmas", *FAST, "--out", str(f1)])
-        run(capsys, ["verify-lemmas", *FAST, "--out", str(f2)])
+        run(capsys, ["verify-lemmas", *SWEEP, "--out", str(f1)])
+        run(capsys, ["verify-lemmas", *SWEEP, "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_degenerate_radius_is_usage_error(self, capsys):
-        code, _, err = run(capsys, ["verify-lemmas", *FAST, "--R", "0.5"])
+        code, _, err = run(capsys, ["verify-lemmas", *SWEEP, "--R", "0.5"])
         assert code == EXIT_USAGE
         assert "error:" in err
 
@@ -102,7 +113,7 @@ class TestVerifyLemmas:
 class TestAnnulusDistance:
     def test_happy_path(self, capsys):
         code, out, _ = run(
-            capsys, ["annulus-distance", *FAST, "2,0", "0,2"]
+            capsys, ["annulus-distance", *BOUND, "2,0", "0,2"]
         )
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -111,25 +122,25 @@ class TestAnnulusDistance:
         assert br["lower_poincare"] <= br["upper_poincare"]
 
     def test_identical_points_give_zero(self, capsys):
-        code, out, _ = run(capsys, ["annulus-distance", *FAST, "1.5,0.5", "1.5,0.5"])
+        code, out, _ = run(capsys, ["annulus-distance", *BOUND, "1.5,0.5", "1.5,0.5"])
         assert code == EXIT_OK
         br = json.loads(out)["bracket"]
         assert br["lower"] == br["upper"] == 0.0
 
     def test_malformed_point_is_usage_error(self, capsys):
-        code, _, err = run(capsys, ["annulus-distance", *FAST, "2", "0,2"])
+        code, _, err = run(capsys, ["annulus-distance", *BOUND, "2", "0,2"])
         assert code == EXIT_USAGE
         assert "error:" in err
 
     def test_exterior_point_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, ["annulus-distance", *FAST, "9,0", "2,0"])
+        code, _, _ = run(capsys, ["annulus-distance", *BOUND, "9,0", "2,0"])
         assert code == EXIT_USAGE
 
 
 class TestGlued:
     def test_distance(self, capsys):
         code, out, _ = run(
-            capsys, ["glued", "distance", *FAST, "0:2,0", "3:2,0"]
+            capsys, ["glued", "distance", *BOUND, "0:2,0", "3:2,0"]
         )
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -139,14 +150,14 @@ class TestGlued:
 
     def test_distance_glue_syntax(self, capsys):
         code, out, _ = run(
-            capsys, ["glued", "distance", *FAST, "glue:1,1", "0:2,0"]
+            capsys, ["glued", "distance", *BOUND, "glue:1,1", "0:2,0"]
         )
         assert code == EXIT_OK
         br = json.loads(out)["bracket"]
         assert br["lower"] == br["upper"] == 0.0
 
     def test_noncompact(self, capsys):
-        code, out, _ = run(capsys, ["glued", "noncompact", *FAST, "--N", "8"])
+        code, out, _ = run(capsys, ["glued", "noncompact", *BOUND, "--N", "8"])
         assert code == EXIT_OK
         rep = json.loads(out)["noncompactness"]
         assert rep["passed"] is True
@@ -154,7 +165,7 @@ class TestGlued:
 
     def test_complete(self, capsys):
         pts = [f"0:{2.0 + 1.0 / k},0" for k in range(2, 16)]
-        code, out, _ = run(capsys, ["glued", "complete", *FAST, *pts])
+        code, out, _ = run(capsys, ["glued", "complete", *BOUND, *pts])
         assert code == EXIT_OK
         rep = json.loads(out)["completeness"]
         assert rep["cauchy_like"] is True
@@ -162,7 +173,7 @@ class TestGlued:
     def test_ball(self, capsys):
         code, out, _ = run(
             capsys,
-            ["glued", "ball", *FAST, "0:2,0", "--band", "1.5,3.0",
+            ["glued", "ball", *BOUND, "0:2,0", "--band", "1.5,3.0",
              "--band-sheets", "0,1", "--samples", "60"],
         )
         assert code == EXIT_OK
@@ -173,15 +184,111 @@ class TestGlued:
     def test_ball_centre_on_boundary_is_usage_error(self, capsys):
         code, _, err = run(
             capsys,
-            ["glued", "ball", *FAST, "0:3.5,0", "--band", "1.5,3.0", "--band-sheets", "0"],
+            ["glued", "ball", *BOUND, "0:3.5,0", "--band", "1.5,3.0", "--band-sheets", "0"],
         )
         assert code == EXIT_USAGE
         assert "error:" in err
 
 
+# Each command with the positional arguments it needs, and the config keys
+# its report echoes: every option it takes but --out.
+COMMANDS = {
+    "verify-lemmas": (["verify-lemmas", *SWEEP], ["R", "m_max", "n_max", "format"]),
+    "annulus-distance": (
+        ["annulus-distance", *BOUND, "2,0", "0,2"], ["R", "family_degree", "grid_density"],
+    ),
+    "glued distance": (
+        ["glued", "distance", *BOUND, "0:2,0", "3:2,0"],
+        ["R", "N", "family_degree", "grid_density"],
+    ),
+    "glued noncompact": (
+        ["glued", "noncompact", *BOUND, "--N", "6"],
+        ["R", "N", "family_degree", "grid_density", "n_max"],
+    ),
+    "glued complete": (
+        ["glued", "complete", *BOUND, "0:2.5,0", "0:2.25,0", "0:2.125,0"],
+        ["R", "N", "family_degree", "grid_density"],
+    ),
+    "glued ball": (
+        ["glued", "ball", *BOUND, "0:2,0", "--band", "1.5,3.0", "--band-sheets", "0",
+         "--samples", "20"],
+        ["R", "N", "family_degree", "grid_density", "band", "band_sheets", "samples", "seed"],
+    ),
+}
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("verify-lemmas", ["--family-degree", "2"]),
+            ("verify-lemmas", ["--N", "8"]),
+            ("annulus-distance", ["--format", "csv"]),
+            ("annulus-distance", ["--m-max", "2000"]),
+            ("glued distance", ["--seed", "1"]),
+            ("glued noncompact", ["--samples", "10"]),
+            ("glued complete", ["--n-max", "4"]),
+            ("glued ball", ["--format", "csv"]),
+        ],
+    )
+    def test_option_a_command_does_not_read_is_a_usage_error(self, capsys, command, option):
+        argv = COMMANDS[command][0]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *option])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_config_echoes_exactly_the_options_taken(self, capsys, command):
+        argv, keys = COMMANDS[command]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert list(doc["config"]) == keys
+
+    def test_glued_distance_computes_at_the_echoed_radius(self, capsys):
+        code, out, _ = run(capsys, ["glued", "distance", *BOUND, "--R", "10", "0:2,0", "3:5,1"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["R"] == 10.0
+        cfg = SpaceConfig(annulus=AnnulusConfig(R=10.0, family_degree=1, grid_density=2))
+        expected = glued_distance_bracket(
+            cfg, parse_point(cfg, "0:2,0"), parse_point(cfg, "3:5,1")
+        )
+        assert (doc["bracket"]["lower"], doc["bracket"]["upper"]) == (
+            expected.lower, expected.upper,
+        )
+        assert doc["bracket"]["lower_witness"] == expected.lower_witness
+        assert doc["bracket"]["upper_witness"] == expected.upper_witness
+
+    @pytest.mark.parametrize(
+        "seed, radius", [([], 0.25), (["--seed", "0"], 0.25), (["--seed", "2"], 0.125)]
+    )
+    def test_ball_sample_seed(self, capsys, seed, radius):
+        # --seed picks the sample cloud; the default cloud is seed 0's.
+        code, out, _ = run(capsys, [
+            "glued", "ball", "0:2,0", "--band", "1.8,2.2", "--band-sheets", "0,1",
+            "--samples", "60", *seed,
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out)["ball"]["radius"] == radius
+
+
+class TestBenchmarkScript:
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_step_parses(self, monkeypatch, seed):
+        # The benchmark's fixed CLI session must stay valid command lines.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        parser = cli.build_parser()
+        for _, argv in workloads.cli_script(seed):
+            assert callable(parser.parse_args(argv).func)
+
+
 class TestInternalErrors:
-    ANNULUS = ["annulus-distance", *FAST, "2,0", "0,2"]
-    GLUED = ["glued", "distance", *FAST, "0:2,0", "3:2,0"]
+    ANNULUS = ["annulus-distance", *BOUND, "2,0", "0,2"]
+    GLUED = ["glued", "distance", *BOUND, "0:2,0", "3:2,0"]
 
     @pytest.mark.parametrize(
         "target, argv, exc",

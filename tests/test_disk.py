@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from caralab import (
     BlaschkeProduct,
     DiskDomainError,
-    blaschke_eval,
     disk_automorphism,
     mobius_distance,
     poincare_distance,
@@ -107,16 +106,16 @@ class TestPoincareDistance:
 class TestBlaschkeProduct:
     def test_single_zero_at_origin_is_identity(self):
         B = BlaschkeProduct(zeros=(0.0,))
-        assert blaschke_eval(B, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert B(0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_vanishes_at_a_zero(self):
         B = BlaschkeProduct(zeros=(0.5,))
-        assert blaschke_eval(B, 0.5) == 0.0
+        assert B(0.5) == 0.0
 
     def test_first_sheet_preimage_zeros_vanish_at_origin(self):
         # x(2) = 0 forces the whole product to vanish at 0.
         B = BlaschkeProduct(zeros=(preimage_point(2), preimage_point(3)))
-        assert abs(blaschke_eval(B, 0.0)) == 0.0
+        assert abs(B(0.0)) == 0.0
 
     def test_rejects_zero_near_circle(self):
         with pytest.raises(DiskDomainError):
@@ -125,7 +124,7 @@ class TestBlaschkeProduct:
     def test_rejects_evaluation_outside(self):
         B = BlaschkeProduct(zeros=(0.2,))
         with pytest.raises(DiskDomainError):
-            blaschke_eval(B, complex(0.9, 0.5))
+            B(complex(0.9, 0.5))
 
     @given(st.lists(disk_points.map(lambda z: 0.9 * z), min_size=1, max_size=8))
     @settings(max_examples=100)
@@ -178,7 +177,7 @@ class TestBlaschkeProduct:
         zeros = tuple(random_disk_points(rng, 6, max_radius=0.8))
         B = BlaschkeProduct(zeros=zeros)
         for z in random_disk_points(rng, 50, max_radius=0.99):
-            assert abs(blaschke_eval(B, z)) < 1.0
+            assert abs(B(z)) < 1.0
 
 
 class TestSchwarzPickCheck:

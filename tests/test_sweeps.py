@@ -17,6 +17,7 @@ from caralab.sweeps import (
     _block_log_sums,
     _log0,
     _suffix_threshold,
+    _threshold_and_worst,
     lower_bound_quotient,
     tau,
 )
@@ -49,6 +50,17 @@ class TestSuffixThreshold:
 
     def test_open_range_gives_none(self):
         assert _suffix_threshold(np.array([True, True, False]), 2) is None
+
+    def test_worst_margin_counts_from_the_threshold_on(self):
+        ok = np.array([True, False, True, True])
+        lin = np.array([-5.0, -1.0, 0.25, 0.5])
+        quad = np.array([-7.0, -2.0, 0.75, 0.125])
+        assert _threshold_and_worst(ok, 2, lin) == (4, 0.25)
+        assert _threshold_and_worst(ok, 2, lin, quad) == (4, 0.125)
+
+    def test_worst_margin_spans_an_open_range(self):
+        ok = np.array([True, True, False])
+        assert _threshold_and_worst(ok, 2, np.array([0.5, -3.0, -1.0])) == (None, -3.0)
 
 
 class TestUpperBoundSweep:
