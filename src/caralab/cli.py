@@ -186,7 +186,7 @@ def cmd_glued_distance(args) -> int:
 
 def cmd_glued_noncompact(args) -> int:
     cfg = _space_config(args)
-    report = noncompactness_probe(cfg, min(args.n_max, cfg.sheets))
+    report = noncompactness_probe(cfg, cfg.sheets)
     _emit(args, _document(args, "glued noncompact", noncompactness=report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILURE
 
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_dist.add_argument("q", help="point 'sheet:re,im' or 'glue:n,m'")
 
     _command(
-        glued_subs, "noncompact", cmd_glued_noncompact, "2/e-ball non-compactness probe",
-        GLUED + ("n_max",),
+        glued_subs, "noncompact", cmd_glued_noncompact, "2/e-ball non-compactness probe", GLUED
     )
 
     g_comp = _command(

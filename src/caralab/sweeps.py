@@ -3,6 +3,9 @@
 Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
+The index sweeps walk their range in fixed slices of _SLICE indices and
+stream the threshold and worst margin through a _SuffixScan, so their peak
+memory does not grow with m_max.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ TWO_OVER_E = 2.0 / math.e
 # Indices per slice of a block sum in _block_log_sums: the slice's few work
 # arrays stay in cache.  At least 2^12, so blocks n <= 12 stay one slice.
 _CHUNK = 1 << 13
+
+# Indices per slice of the upper and lower index sweeps: about ten work
+# arrays of this length are alive at once.
+_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -70,17 +77,64 @@ class SweepResult:
         }
 
 
+class _SuffixScan:
+    """The suffix threshold of a pass/fail sequence and its worst margin,
+    accumulated over consecutive slices.
+
+    It keeps three values: the last failing parameter, the least margin
+    after it, and the least margin over the whole range.  min is exact, so
+    any cut into slices gives the same result as one whole-range slice.
+    """
+
+    def __init__(self, start: int):
+        self.start = start
+        self.stop = start  # parameter of the next index to be fed
+        self.last_bad: Optional[int] = None
+        self.since_bad = math.inf
+        self.overall = math.inf
+
+    def feed(self, ok: np.ndarray, *margins: np.ndarray) -> None:
+        """Take the next slice: ok[i] and margins[k][i] belong to the
+        parameter self.stop + i."""
+        ok = np.asarray(ok, dtype=bool)
+        bad = np.flatnonzero(~ok)
+        after = 0
+        if bad.size:
+            after = int(bad[-1]) + 1
+            self.last_bad = self.stop + after - 1
+            self.since_bad = math.inf
+        for m in margins:
+            whole = np.min(m)
+            self.overall = min(self.overall, whole)
+            if after == 0:
+                self.since_bad = min(self.since_bad, whole)
+            elif after < len(m):
+                self.since_bad = min(self.since_bad, np.min(m[after:]))
+        self.stop += ok.size
+
+    def threshold(self) -> Optional[int]:
+        """Least parameter p such that ok holds from p through the range end;
+        None if even the final parameter fails ("threshold not yet reached")."""
+        if self.last_bad is None:
+            return self.start
+        return None if self.last_bad == self.stop - 1 else self.last_bad + 1
+
+    def result(self) -> Tuple[Optional[int], float]:
+        """The threshold, and the least margin from it on, or over the whole
+        range if no threshold is reached."""
+        threshold = self.threshold()
+        return threshold, float(self.overall if threshold is None else self.since_bad)
+
+
 def _suffix_threshold(values: np.ndarray, start: int) -> Optional[int]:
     """Least parameter p such that values holds from p through the range end.
 
     values[i] is the pass/fail flag for parameter start + i.  Returns None if
     even the final parameter fails ("threshold not yet reached").
     """
-    ok = np.asarray(values, dtype=bool)
-    if not ok[-1]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    return start if bad.size == 0 else start + int(bad[-1]) + 1
+    scan = _SuffixScan(start)
+    scan.feed(values)
+    return scan.threshold()
 
 
 def _threshold_and_worst(
@@ -88,18 +142,24 @@ def _threshold_and_worst(
 ) -> Tuple[Optional[int], float]:
     """The suffix threshold of ok, and the least of the margins from it on,
     or over the whole range if no threshold is reached."""
-    threshold = _suffix_threshold(ok, start)
-    first = 0 if threshold is None else threshold - start
-    return threshold, float(min(np.min(m[first:]) for m in margins))
+    scan = _SuffixScan(start)
+    scan.feed(ok, *margins)
+    return scan.result()
 
 
-def _pick_samples(ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> list:
-    out = []
+def _slices(start: int, stop: int):
+    """Consecutive float index arrays of at most _SLICE indices covering
+    start..stop inclusive."""
+    for lo in range(start, stop + 1, _SLICE):
+        yield np.arange(lo, min(lo + _SLICE, stop + 1), dtype=float)
+
+
+def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> None:
+    """Record (m, lhs, rhs) in found for each pick m inside the slice ms."""
+    lo = int(ms[0])
     for m in picks:
-        idx = int(m - ms[0])
-        if 0 <= idx < len(ms):
-            out.append((int(ms[idx]), float(lhs[idx]), float(rhs[idx])))
-    return out
+        if lo <= m < lo + len(ms):
+            found[m] = (m, float(lhs[m - lo]), float(rhs[m - lo]))
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
@@ -146,6 +206,14 @@ def lower_bound_quotient(R: float, ms) -> np.ndarray:
     return (s - p) / (s * p - 1.0)
 
 
+def _quotient_and_tau(R: float, ms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """lower_bound_quotient(R, ms) and tau(R, ms) from one exp(ln R / m),
+    with the operation order of each, so both agree with them bit for bit."""
+    s = math.sqrt(R)
+    p = np.exp(math.log(R) / ms)
+    return (s - p) / (s * p - 1.0), ms * (s + 1.0) * (1.0 - p)
+
+
 def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     """Find the least m1 with |x(m)| <= 1 - 2/(m+1) and (m+1)(1-|x(m)|^2) >= 4
     on [m1, m_max]; also checks (1-|x|^2)/2 <= 1-|x| for every m >= 2.
@@ -154,18 +222,27 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     """
     if m_max < 4:
         raise ValueError(f"m_max must be >= 4, got {m_max!r}")
-    ms = np.arange(2, m_max + 1)
-    x = preimage_moduli(ms)
-    s = np.sin(math.pi / ms)
-    one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
+    picks = [2, 3, 4, 10, 100, m_max]
+    found = {}
+    elementary_ok = True
+    scan = _SuffixScan(2)
+    for ms in _slices(2, m_max):
+        x = preimage_moduli(ms)
+        s = np.sin(math.pi / ms)
+        one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
 
-    lin_margin = (1.0 - 2.0 / (ms + 1.0)) - x
-    quad_margin = (ms + 1.0) * one_minus_sq - 4.0
-    elem_margin = (1.0 - x) - one_minus_sq / 2.0
+        lin_rhs = 1.0 - 2.0 / (ms + 1.0)
+        lin_margin = lin_rhs - x
+        quad_margin = (ms + 1.0) * one_minus_sq - 4.0
+        elem_margin = (1.0 - x) - one_minus_sq / 2.0
 
-    elementary_ok = bool(np.all(elem_margin >= -EPS_ALGEBRAIC))
-    ok = (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC)
-    m1, worst = _threshold_and_worst(ok, 2, lin_margin, quad_margin)
+        elementary_ok &= bool(np.all(elem_margin >= -EPS_ALGEBRAIC))
+        scan.feed(
+            (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC),
+            lin_margin, quad_margin,
+        )
+        _take_samples(found, ms, x, lin_rhs, picks)
+    m1, worst = scan.result()
 
     passed = elementary_ok and m1 is not None
     notes = []
@@ -176,7 +253,7 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     if not elementary_ok:
         notes.append("elementary inequality (1-|x|^2)/2 <= 1-|x| violated")
 
-    samples = _pick_samples(ms, x, 1.0 - 2.0 / (ms + 1.0), [2, 3, 4, 10, 100, m_max])
+    samples = [found[m] for m in picks if m in found]
     return SweepResult(
         parameter_name="m1",
         range=(2, m_max),
@@ -233,16 +310,19 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
         raise ValueError(f"m_max must be >= 8, got {m_max!r}")
     consts = BoundConstants.for_radius(R)
     s = math.sqrt(R)
-    ms = np.arange(3, m_max + 1)
-    q = lower_bound_quotient(R, ms)
-    rhs = 1.0 - consts.K_of_R / ms
-    margin = q - rhs
-
-    positivity_ok = bool(np.all(q > 0.0))
     tau_floor = -1.5 * (s + 1.0) * math.log(R)
-    tau_ok = tau(R, ms) >= tau_floor - EPS_ALGEBRAIC
-    ok = (margin >= -EPS_ALGEBRAIC) & tau_ok
-    m2, worst = _threshold_and_worst(ok, 3, margin)
+    picks = [3, 4, 10, 100, m_max]
+    found = {}
+    positivity_ok = True
+    scan = _SuffixScan(3)
+    for ms in _slices(3, m_max):
+        q, tau_ms = _quotient_and_tau(R, ms)
+        rhs = 1.0 - consts.K_of_R / ms
+        margin = q - rhs
+        positivity_ok &= bool(np.all(q > 0.0))
+        scan.feed((margin >= -EPS_ALGEBRAIC) & (tau_ms >= tau_floor - EPS_ALGEBRAIC), margin)
+        _take_samples(found, ms, q, rhs, picks)
+    m2, worst = scan.result()
 
     notes = [f"K(R)={consts.K_of_R:.12g}"]
     passed = positivity_ok and m2 is not None
@@ -259,7 +339,7 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
 
     # Margin-numerator factorization: an exact algebraic identity.  The
     # terms scale like m, so the tolerance is relative to that scale.
-    probe_ms = ms[:: max(1, len(ms) // 64)].astype(float)
+    probe_ms = np.arange(3, m_max + 1, max(1, (m_max - 2) // 64), dtype=float)
     p = np.exp(math.log(R) / probe_ms)
     direct = (
         probe_ms * (s - p) - probe_ms * (s * p - 1.0) + consts.K_of_R * (s * p - 1.0)
@@ -271,7 +351,7 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
         passed = False
         notes.append(f"numerator factorization identity off by {fact_err:.3e}")
 
-    samples = _pick_samples(ms, q, rhs, [3, 4, 10, 100, m_max])
+    samples = [found[m] for m in picks if m in found]
     return SweepResult(
         parameter_name=f"m2(R={R:g})",
         range=(3, m_max),

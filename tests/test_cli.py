@@ -203,7 +203,7 @@ COMMANDS = {
     ),
     "glued noncompact": (
         ["glued", "noncompact", *BOUND, "--N", "6"],
-        ["R", "N", "family_degree", "grid_density", "n_max"],
+        ["R", "N", "family_degree", "grid_density"],
     ),
     "glued complete": (
         ["glued", "complete", *BOUND, "0:2.5,0", "0:2.25,0", "0:2.125,0"],
@@ -229,6 +229,7 @@ class TestOptionSets:
             ("glued noncompact", ["--samples", "10"]),
             ("glued complete", ["--n-max", "4"]),
             ("glued ball", ["--format", "csv"]),
+            ("glued noncompact", ["--n-max", "4"]),
         ],
     )
     def test_option_a_command_does_not_read_is_a_usage_error(self, capsys, command, option):

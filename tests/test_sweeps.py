@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caralab import (
     BoundConstants,
@@ -13,9 +16,13 @@ from caralab import (
     verify_upper_bound_sweep,
 )
 from caralab.sweeps import (
+    EPS_ALGEBRAIC,
+    _SLICE,
+    _SuffixScan,
     _block_log_moduli,
     _block_log_sums,
     _log0,
+    _quotient_and_tau,
     _suffix_threshold,
     _threshold_and_worst,
     lower_bound_quotient,
@@ -61,6 +68,182 @@ class TestSuffixThreshold:
     def test_worst_margin_spans_an_open_range(self):
         ok = np.array([True, True, False])
         assert _threshold_and_worst(ok, 2, np.array([0.5, -3.0, -1.0])) == (None, -3.0)
+
+
+def whole_array_threshold_and_worst(ok, start, *margins):
+    """Reference: the suffix threshold and worst margin from whole arrays."""
+    if not ok[-1]:
+        return None, float(min(np.min(m) for m in margins))
+    bad = np.flatnonzero(~ok)
+    first = 0 if bad.size == 0 else int(bad[-1]) + 1
+    return start + first, float(min(np.min(m[first:]) for m in margins))
+
+
+def scan_in_slices(ok, start, cuts, *margins):
+    scan = _SuffixScan(start)
+    bounds = [0, *cuts, len(ok)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        scan.feed(ok[lo:hi], *(m[lo:hi] for m in margins))
+    return scan.result()
+
+
+@st.composite
+def sliced_flags_and_margins(draw):
+    n = draw(st.integers(1, 40))
+    ok = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    margins = [
+        np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    return ok, margins, cuts
+
+
+class TestSuffixScan:
+    @settings(max_examples=200, deadline=None)
+    @given(sliced_flags_and_margins(), st.integers(0, 10))
+    def test_slices_match_the_whole_array_reference(self, case, start):
+        ok, margins, cuts = case
+        assert scan_in_slices(ok, start, cuts, *margins) == whole_array_threshold_and_worst(
+            ok, start, *margins
+        )
+
+    @pytest.mark.parametrize(
+        ("ok", "cuts", "expected_threshold"),
+        [
+            ([1, 1, 1, 1, 1, 1], [2, 4], 5),
+            ([1, 1, 1, 1, 0, 1], [2, 4], 10),
+            ([1, 1, 1, 1, 1, 0], [2, 4], None),
+            ([1, 0, 1, 1, 1, 1], [2, 4], 7),
+        ],
+        ids=["no-failure", "failure-in-a-later-slice", "last-index-fails",
+             "failure-at-a-slice-end"],
+    )
+    def test_named_slice_patterns(self, ok, cuts, expected_threshold):
+        ok = np.array(ok, dtype=bool)
+        margin = np.array([-4.0, -3.0, 2.0, 0.5, -1.0, 1.5])
+        got = scan_in_slices(ok, 5, cuts, margin)
+        assert got == whole_array_threshold_and_worst(ok, 5, margin)
+        assert got[0] == expected_threshold
+        if expected_threshold is None:
+            assert got[1] == -4.0
+
+
+def whole_array_upper_sweep(m_max):
+    """Reference: the upper-bound sweep over one whole-range array."""
+    ms = np.arange(2, m_max + 1)
+    x = preimage_moduli(ms)
+    s = np.sin(math.pi / ms)
+    one_minus_sq = 2.0 * s / (1.0 + s)
+    lin_margin = (1.0 - 2.0 / (ms + 1.0)) - x
+    quad_margin = (ms + 1.0) * one_minus_sq - 4.0
+    elem_margin = (1.0 - x) - one_minus_sq / 2.0
+    elementary_ok = bool(np.all(elem_margin >= -EPS_ALGEBRAIC))
+    ok = (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC)
+    m1, worst = whole_array_threshold_and_worst(ok, 2, lin_margin, quad_margin)
+    notes = []
+    if m1 is None:
+        notes.append("threshold not yet reached in range")
+    elif m1 > 2:
+        notes.append(f"m1-1={m1 - 1} exhibits a violation, threshold minimal")
+    if not elementary_ok:
+        notes.append("elementary inequality (1-|x|^2)/2 <= 1-|x| violated")
+    rhs = 1.0 - 2.0 / (ms + 1.0)
+    return {
+        "parameter_name": "m1",
+        "range": [2, m_max],
+        "threshold_found": m1,
+        "worst_margin": worst,
+        "passed": elementary_ok and m1 is not None,
+        "samples": [[m, float(x[m - 2]), float(rhs[m - 2])]
+                    for m in (2, 3, 4, 10, 100, m_max) if m <= m_max],
+        "notes": "; ".join(notes),
+    }
+
+
+def whole_array_lower_sweep(R, m_max):
+    """Reference: the lower-bound sweep over one whole-range array."""
+    consts = BoundConstants.for_radius(R)
+    s = math.sqrt(R)
+    ms = np.arange(3, m_max + 1)
+    q = lower_bound_quotient(R, ms)
+    rhs = 1.0 - consts.K_of_R / ms
+    margin = q - rhs
+    positivity_ok = bool(np.all(q > 0.0))
+    tau_ok = tau(R, ms) >= -1.5 * (s + 1.0) * math.log(R) - EPS_ALGEBRAIC
+    m2, worst = whole_array_threshold_and_worst((margin >= -EPS_ALGEBRAIC) & tau_ok, 3, margin)
+    notes = [f"K(R)={consts.K_of_R:.12g}"]
+    passed = positivity_ok and m2 is not None
+    if m2 is None:
+        notes.append("threshold not yet reached in range")
+    if not positivity_ok:
+        notes.append("quotient positivity violated for some m >= 3")
+    tau_dev = abs(float(tau(R, 100_000)) - consts.tau_limit) / abs(consts.tau_limit)
+    if tau_dev >= 1e-2:
+        passed = False
+        notes.append(f"tau(1e5) deviates {tau_dev:.3e} from its limit")
+    probe_ms = ms[:: max(1, len(ms) // 64)].astype(float)
+    p = np.exp(math.log(R) / probe_ms)
+    direct = probe_ms * (s - p) - probe_ms * (s * p - 1.0) + consts.K_of_R * (s * p - 1.0)
+    factored = tau(R, probe_ms) + consts.K_of_R * (s * p - 1.0)
+    fact_err = float(np.max(np.abs(direct - factored))) / max(1.0, float(np.max(np.abs(direct))))
+    if fact_err > 1e-10:
+        passed = False
+        notes.append(f"numerator factorization identity off by {fact_err:.3e}")
+    return {
+        "parameter_name": f"m2(R={R:g})",
+        "range": [3, m_max],
+        "threshold_found": m2,
+        "worst_margin": worst,
+        "passed": passed,
+        "samples": [[m, float(q[m - 3]), float(rhs[m - 3])] for m in (3, 4, 10, 100, m_max)],
+        "notes": "; ".join(notes),
+    }
+
+
+SLICE_EDGES = [_SLICE + 1, _SLICE + 2, 2 * _SLICE + 2]
+
+
+class TestSliceBoundaries:
+    # repr tells -0.0 from 0.0, so equal reprs mean bitwise-equal floats.
+    @pytest.mark.parametrize("m_max", SLICE_EDGES)
+    def test_upper_sweep_matches_whole_array_reference(self, m_max):
+        got = verify_upper_bound_sweep(m_max).to_dict()
+        assert repr(got) == repr(whole_array_upper_sweep(m_max))
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 1e6])
+    @pytest.mark.parametrize("m_max", SLICE_EDGES)
+    def test_lower_sweep_matches_whole_array_reference(self, R, m_max):
+        got = verify_lower_bound_sweep(R, m_max).to_dict()
+        assert repr(got) == repr(whole_array_lower_sweep(R, m_max))
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0, 1e6])
+    def test_fused_lower_kernel_matches_quotient_and_tau(self, R):
+        ms = np.arange(3, 50_001, dtype=float)
+        q, t = _quotient_and_tau(R, ms)
+        assert q.tobytes() == lower_bound_quotient(R, ms).tobytes()
+        assert t.tobytes() == tau(R, ms).tobytes()
+
+
+class TestSweepMemory:
+    # One float64 array over the default range of 10^6 indices.
+    FULL_RANGE_ARRAY = 8 * 10 ** 6
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [lambda: verify_upper_bound_sweep(10 ** 6), lambda: verify_lower_bound_sweep(4.0, 10 ** 6)],
+        ids=["upper", "lower"],
+    )
+    def test_peak_stays_below_one_full_range_array(self, sweep):
+        # numpy reports its buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.FULL_RANGE_ARRAY
 
 
 class TestUpperBoundSweep:
