@@ -55,6 +55,7 @@ from .glued import (
     glued_distance_bracket,
     glued_lower_bound,
     glued_upper_bound,
+    glued_upper_bounds,
     noncompactness_probe,
     parse_point,
     recanonicalize,
@@ -89,6 +90,7 @@ __all__ = [
     "glued_distance_bracket",
     "glued_lower_bound",
     "glued_upper_bound",
+    "glued_upper_bounds",
     "lift_enumeration",
     "mobius_distance",
     "noncompactness_probe",

@@ -306,9 +306,15 @@ def annulus_upper_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     b = _as_annulus_point(cfg, b, "b")
     d = lift_distances(cfg, a, b)
     j = int(np.argmin(d))
-    orientation, i = divmod(j, d.shape[-1])
+    return float(d.flat[j]), _lift_witness(cfg, j)
+
+
+def _lift_witness(cfg: AnnulusConfig, j: int) -> str:
+    """Witness text for flat index j of one pair's (2, 2K + 1) lift table."""
+    width = len(_deck_shifts(cfg))
+    orientation, i = divmod(j, width)
     tag = ("a->b", "b->a")[orientation]
-    return float(d.flat[j]), f"lift k={i - d.shape[-1] // 2} ({tag}) against principal lift"
+    return f"lift k={i - width // 2} ({tag}) against principal lift"
 
 
 def annulus_distance_bracket(cfg: AnnulusConfig, a: complex, b: complex) -> DistanceBracket:

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .annulus import (
@@ -198,11 +198,18 @@ def cmd_glued_complete(args) -> int:
     return EXIT_OK
 
 
+def _parse_band(text: str) -> Tuple[float, float]:
+    r1, _, r2 = text.partition(",")
+    try:
+        return float(r1), float(r2)
+    except ValueError:
+        raise ValueError(f"malformed band {text!r}: expected 'r1,r2'") from None
+
+
 def cmd_glued_ball(args) -> int:
     cfg = _space_config(args)
     z = parse_point(cfg, args.z)
-    r1, _, r2 = args.band.partition(",")
-    band = (float(r1), float(r2))
+    band = _parse_band(args.band)
     sheets = [int(s) for s in args.band_sheets.split(",")] if args.band_sheets else list(
         range(cfg.sheets + 1)
     )
@@ -230,7 +237,7 @@ OPTIONS = {
     "band": ("--band", dict(required=True, help="compact band 'r1,r2'")),
     "band_sheets": ("--band-sheets", dict(
         default=None, help="comma-separated sheet subset (default all)")),
-    "samples": ("--samples", dict(type=int, default=200)),
+    "samples": ("--samples", dict(type=int, default=200, help="sample count, >= 1 (default 200)")),
     "seed": ("--seed", dict(type=int, default=0, help="sample-cloud seed (default 0)")),
 }
 GLUED = ("R", "N", "family_degree", "grid_density")

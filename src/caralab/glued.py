@@ -1,6 +1,8 @@
 """Finite truncation of the glued space: sheets of A(R) identified at
 attachment points, holomorphic test families on the quotient, and
 cross-sheet distance brackets plus non-compactness / completeness probes.
+The probes read their upper bounds from one many-target kernel
+(glued_upper_bounds); glued_upper_bound is its one-target case.
 
 Sheet n (n >= 1) carries 2^n attachment points R^(1 - 1/j),
 j = 2^n .. 2^(n+1) - 1, each identified with the same coordinate on sheet 0.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,12 +26,13 @@ from .annulus import (
     BracketOrderError,
     DistanceBracket,
     annulus_lower_bound,
-    annulus_upper_bound,
+    annulus_upper_bound,  # noqa: F401
     lift_distances,
     _as_annulus_point,
+    _lift_witness,
 )
-# perfbench/spans.py rebinds glued.mobius_distance and glued.BlaschkeProduct
-# by name, so both stay module names here.
+# perfbench/spans.py rebinds glued.mobius_distance, glued.BlaschkeProduct and
+# glued.annulus_upper_bound by name, so all three stay module names here.
 from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance  # noqa: F401
 from .sweeps import TWO_OVER_E, verify_one_over_e_products
 
@@ -308,9 +311,13 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
 @lru_cache(maxsize=None)
 def _exit_indices(sheet: int) -> np.ndarray:
     # Subsampling exits keeps the path family small while every retained
-    # path still certifies.
+    # path still certifies.  Slot floor(k (n - 1) / (MAX_EXITS - 1)) for
+    # k = 0 .. MAX_EXITS - 1, in exact integers: sorted and distinct once
+    # n > MAX_EXITS.
     n = 2 ** sheet
-    return np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else np.arange(n)
+    if n <= MAX_EXITS:
+        return np.arange(n)
+    return np.arange(MAX_EXITS) * (n - 1) // (MAX_EXITS - 1)
 
 
 def _exits(cfg: SpaceConfig, p: SpacePoint) -> np.ndarray:
@@ -334,11 +341,95 @@ def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
     return np.arctanh(lift_distances(acf, a, b).min(axis=(-2, -1)))
 
 
-def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
-    """Certified upper bound for the quotient Mobius distance.
+class _UpperPaths(NamedTuple):
+    """Per target: the bound, the flat index of the winning lift (same sheet)
+    or exit pair (cross sheet), and whether the 2/e cap replaced it."""
 
-    Same sheet: restriction of quotient functions to the sheet dominates by
-    the annulus upper bound.  Cross-sheet: triangle paths through attachment
+    values: List[float]
+    where: List[int]
+    capped: List[bool]
+
+
+def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _UpperPaths:
+    """Upper bounds from canonical p to canonical targets qs.
+
+    Same-sheet targets take the annulus lift minimum in one call.  Each leg
+    of the cross-sheet paths p -> exit -> exit -> q is computed once per
+    distinct exit set: h_p once, mid once per target sheet, h_q in one call.
+    """
+    acf = cfg.annulus
+    paths = _UpperPaths([0.0] * len(qs), [0] * len(qs), [False] * len(qs))
+    groups: dict = {}
+    for t, q in enumerate(qs):
+        if q != p:
+            groups.setdefault(q.sheet, []).append(t)
+    coords = {s: np.array([qs[t].coord for t in ts]) for s, ts in groups.items()}
+
+    def record(ts, table, to_value):
+        for i, (t, k) in enumerate(zip(ts, table.argmin(axis=1).tolist())):
+            paths.values[t], paths.where[t] = to_value(table[i, k]), k
+
+    same = groups.pop(p.sheet, None)
+    if same is not None:
+        # Restricting quotient functions to the sheet dominates by the
+        # annulus upper bound.
+        d = lift_distances(acf, p.coord, coords[p.sheet])
+        record(same, d.reshape(len(same), -1), float)
+    if not groups:
+        return paths
+
+    a = _exits(cfg, p)
+    h_p = _poincare_upper(acf, p.coord, a)[:, None]
+    # One row of exits per target: its sheet's glue exits, or on sheet 0 the
+    # target itself.
+    rows = [
+        coords[0][:, None] if s == 0 else _exits(cfg, qs[ts[0]])[None, :].repeat(len(ts), 0)
+        for s, ts in groups.items()
+    ]
+    h_q = _poincare_upper(
+        acf,
+        np.concatenate([row.ravel() for row in rows]),
+        np.concatenate([coords[s].repeat(row.shape[1]) for s, row in zip(groups, rows)]),
+    )
+    offset = 0
+    for (s, ts), row in zip(groups.items(), rows):
+        if s == 0:  # each sheet-0 target is its own exit: one mid column each
+            mid = _poincare_upper(acf, a[:, None], coords[0]).T[:, :, None]
+        else:
+            mid = _poincare_upper(acf, a[:, None], row[0])[None]
+        legs = h_q[offset:offset + row.size].reshape(row.shape)[:, None, :]
+        offset += row.size
+        # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
+        record(ts, ((h_p + mid) + legs).reshape(len(ts), -1),
+               lambda x: min(math.tanh(x), _ONE_MINUS))
+
+    # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
+    srt = acf.sqrt_R
+    if abs(p.coord - srt) <= 1e-12:
+        for t in (t for ts in groups.values() for t in ts):
+            q = qs[t]
+            if abs(q.coord - srt) > 1e-12 or 0 not in (p.sheet, q.sheet):
+                continue
+            n0 = _one_over_e_threshold(cfg.sheets)
+            if n0 is not None and max(p.sheet, q.sheet) >= n0 and TWO_OVER_E < paths.values[t]:
+                paths.values[t] = TWO_OVER_E
+                paths.capped[t] = True
+    return paths
+
+
+def glued_upper_bounds(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> np.ndarray:
+    """Certified upper bounds from p to each of qs, as one float64 array:
+    bit for bit [glued_upper_bound(cfg, p, q)[0] for q in qs]."""
+    p = recanonicalize(cfg, p)
+    return np.array(_upper_paths(cfg, p, [recanonicalize(cfg, q) for q in qs]).values, dtype=float)
+
+
+def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
+    """Certified upper bound for the quotient Mobius distance, with witness.
+
+    The one-target case of the kernel behind glued_upper_bounds.  Same
+    sheet: restriction of quotient functions to the sheet dominates by the
+    annulus upper bound.  Cross-sheet: triangle paths through attachment
     points, added in the Poincare scale and mapped back with tanh.  The pair
     (sqrt(R) on sheet 0, sqrt(R) on sheet n) additionally caps at 2/e once n
     clears the block-product threshold.
@@ -347,39 +438,15 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     q = recanonicalize(cfg, q)
     if p == q:
         return 0.0, "trivial (identical points)"
-    acf = cfg.annulus
-
+    paths = _upper_paths(cfg, p, [q])
+    value, k = paths.values[0], paths.where[0]
+    if paths.capped[0]:
+        return value, "2/e basepoint cap"
     if p.sheet == q.sheet:
-        v, w = annulus_upper_bound(acf, p.coord, q.coord)
-        return v, f"restriction[{w}]"
-
-    a, b = _exits(cfg, p), _exits(cfg, q)
-    h_p = _poincare_upper(acf, p.coord, a)
-    mid = _poincare_upper(acf, a[:, None], b)
-    h_q = _poincare_upper(acf, b, q.coord)
-    total = h_p[:, None] + mid + h_q[None, :]
-    i, j = np.unravel_index(np.argmin(total), total.shape)
+        return value, f"restriction[{_lift_witness(cfg.annulus, k)}]"
+    i, j = divmod(k, len(_exits(cfg, q)))
     exit_p, exit_q = _exit_point(cfg, p, i), _exit_point(cfg, q, j)
-    witness = f"glue path via exits {format_point(exit_p)}; {format_point(exit_q)}"
-    # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
-    value = min(math.tanh(total[i, j]), _ONE_MINUS)
-
-    # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
-    srt = acf.sqrt_R
-
-    def _is_base(pt: SpacePoint) -> bool:
-        return pt.sheet == 0 and abs(pt.coord - srt) <= 1e-12
-
-    def _is_probe(pt: SpacePoint) -> Optional[int]:
-        return pt.sheet if pt.sheet >= 1 and abs(pt.coord - srt) <= 1e-12 else None
-
-    n = _is_probe(q) if _is_base(p) else (_is_probe(p) if _is_base(q) else None)
-    if n is not None:
-        n0 = _one_over_e_threshold(cfg.sheets)
-        if n0 is not None and n >= n0 and TWO_OVER_E < value:
-            value = TWO_OVER_E
-            witness = "2/e basepoint cap"
-    return value, witness
+    return value, f"glue path via exits {format_point(exit_p)}; {format_point(exit_q)}"
 
 
 def glued_distance_bracket(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> DistanceBracket:
@@ -440,7 +507,7 @@ def noncompactness_probe(cfg: SpaceConfig, n_max: int) -> NoncompactnessReport:
     ns = list(range(max(n0, 2), n_max + 1))
     pts = [canonicalize(cfg, n, srt) for n in ns]
 
-    uppers = [glued_upper_bound(cfg, base, pt)[0] for pt in pts]
+    uppers = _upper_paths(cfg, base, pts).values
     inside = all(u <= TWO_OVER_E + 1e-12 for u in uppers)
 
     floor = math.inf
@@ -492,9 +559,9 @@ def completeness_probe(cfg: SpaceConfig, sequence: Sequence[SpacePoint]) -> Comp
     n = len(seq)
     upper = np.zeros((n, n))
     lower = np.zeros((n, n))
-    for i in range(n):
+    for i in range(n - 1):
+        upper[i, i + 1:] = upper[i + 1:, i] = _upper_paths(cfg, seq[i], seq[i + 1:]).values
         for j in range(i + 1, n):
-            upper[i, j] = upper[j, i] = glued_upper_bound(cfg, seq[i], seq[j])[0]
             lower[i, j] = lower[j, i] = glued_lower_bound(cfg, seq[i], seq[j])[0]
     coords = np.array([p.coord for p in seq])
     # hypot, as in abs(complex); np.abs on complex can differ in the last ulp.
@@ -539,10 +606,12 @@ def ball_inclusion_radius(
     """Largest dyadic radius r with no sampled point outside the compact band
     K at certified Poincare upper distance < r from z; None if none works.
 
-    Sampling evidence for the ball-inclusion condition, not a proof.  The
-    sample cloud depends only on (seed, samples), so nested bands yield
-    monotone radii.
+    Sampling evidence for the ball-inclusion condition, not a proof, so at
+    least one sample is required.  The sample cloud depends only on (seed,
+    samples), so nested bands yield monotone radii.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     r1, r2 = band
     R = cfg.annulus.R
     if not (1.0 < r1 < r2 < R):
@@ -560,14 +629,13 @@ def ball_inclusion_radius(
     angles = rng.uniform(0.0, 2.0 * math.pi, samples)
     point_sheets = rng.integers(0, cfg.sheets + 1, samples)
 
-    d_min = math.inf
-    for r, th, sh in zip(radii, angles, point_sheets):
-        outside = not (r1 <= r <= r2) or int(sh) not in sheets
-        if not outside:
-            continue
-        pt = canonicalize(cfg, int(sh), complex(r * math.cos(th), r * math.sin(th)))
-        d = _atanh(glued_upper_bound(cfg, z, pt)[0])
-        d_min = min(d_min, d)
+    outside = [
+        canonicalize(cfg, int(sh), complex(r * math.cos(th), r * math.sin(th)))
+        for r, th, sh in zip(radii, angles, point_sheets)
+        if not (r1 <= r <= r2) or int(sh) not in sheets
+    ]
+    uppers = _upper_paths(cfg, z, outside).values
+    d_min = min(map(_atanh, uppers), default=math.inf)
 
     for j in range(4, -21, -1):
         r = 2.0 ** j

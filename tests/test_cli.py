@@ -189,6 +189,25 @@ class TestGlued:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--samples", "0"], "samples must be >= 1, got 0"),
+            (["--samples", "-3"], "samples must be >= 1, got -3"),
+            (["--band", "1.5"], "malformed band '1.5': expected 'r1,r2'"),
+            (["--band", "1.5,"], "malformed band '1.5,': expected 'r1,r2'"),
+        ],
+    )
+    def test_ball_without_evidence_or_band_is_usage_error(self, capsys, option, message):
+        code, out, err = run(
+            capsys,
+            ["glued", "ball", *BOUND, "0:2,0", "--band", "1.5,3.0", "--band-sheets", "0",
+             *option],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 # Each command with the positional arguments it needs, and the config keys
 # its report echoes: every option it takes but --out.
@@ -329,3 +348,19 @@ class TestColdStart:
         code, warm, _ = run(capsys, self.ARGV)
         assert code == EXIT_OK
         assert cold[0] == cold[1] == warm.encode()
+
+    def test_a_glued_command_leaves_numpy_ma_unimported(self):
+        # numpy.ma costs over 10 ms to import, and nothing here needs it.
+        src = str(Path(caralab.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            "from caralab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({self.ARGV!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                             check=True, text=True).stdout
+        assert out == "False\n"

@@ -24,17 +24,22 @@ from caralab import (
     glued_distance_bracket,
     glued_lower_bound,
     glued_upper_bound,
+    glued_upper_bounds,
     mobius_distance,
     noncompactness_probe,
     parse_point,
     recanonicalize,
 )
+from caralab import glued as glued_module
+from caralab.disk import _ONE_MINUS, _atanh
 from caralab.glued import (
     MAX_EXITS,
+    _exit_indices,
     _exit_point,
     _exits,
     _glue_coordinates,
     _one_over_e_threshold,
+    _poincare_upper,
     _sheet_blaschke,
 )
 from caralab.sweeps import TWO_OVER_E, _block_log_moduli
@@ -233,6 +238,12 @@ class TestGlueCoordinateTable:
         points = [_exit_point(cfg, p, i) for i in range(len(glue))]
         assert [format_point(e) for e in points] == [format_point(e) for e in glue]
 
+    @pytest.mark.parametrize("sheet", range(1, 21))
+    def test_exit_indices_match_the_linspace_reference(self, sheet):
+        n = 2 ** sheet
+        ref = np.unique(np.linspace(0, n - 1, MAX_EXITS).astype(int)) if n > MAX_EXITS else np.arange(n)
+        assert _exit_indices(sheet).tolist() == ref.tolist()
+
     def test_a_sheet_zero_end_exits_at_itself(self, cfg):
         p = canonicalize(cfg, 0, complex(2.5, 0.3))
         assert _exits(cfg, p).tolist() == [p.coord]
@@ -408,6 +419,194 @@ class TestSheetSupportedCandidates:
         for other in (canonicalize(cfg, 0, 2.0), canonicalize(cfg, 3, 2.0)):
             br = glued_distance_bracket(cfg, edge, other)
             assert 0.0 < br.lower <= br.upper < 1.0
+
+
+def per_pair_upper_bound(cfg, p, q):
+    """glued_upper_bound as computed pair by pair, three lift calls per
+    cross-sheet pair: the reference for the many-target kernel."""
+    p = recanonicalize(cfg, p)
+    q = recanonicalize(cfg, q)
+    if p == q:
+        return 0.0, "trivial (identical points)"
+    acf = cfg.annulus
+    if p.sheet == q.sheet:
+        v, w = annulus_upper_bound(acf, p.coord, q.coord)
+        return v, f"restriction[{w}]"
+    a, b = _exits(cfg, p), _exits(cfg, q)
+    h_p = _poincare_upper(acf, p.coord, a)
+    mid = _poincare_upper(acf, a[:, None], b)
+    h_q = _poincare_upper(acf, b, q.coord)
+    total = h_p[:, None] + mid + h_q[None, :]
+    i, j = np.unravel_index(np.argmin(total), total.shape)
+    exit_p, exit_q = _exit_point(cfg, p, i), _exit_point(cfg, q, j)
+    witness = f"glue path via exits {format_point(exit_p)}; {format_point(exit_q)}"
+    value = min(math.tanh(total[i, j]), _ONE_MINUS)
+    srt = acf.sqrt_R
+
+    def is_base(pt):
+        return pt.sheet == 0 and abs(pt.coord - srt) <= 1e-12
+
+    def is_probe(pt):
+        return pt.sheet if pt.sheet >= 1 and abs(pt.coord - srt) <= 1e-12 else None
+
+    n = is_probe(q) if is_base(p) else (is_probe(p) if is_base(q) else None)
+    if n is not None:
+        n0 = _one_over_e_threshold(cfg.sheets)
+        if n0 is not None and n >= n0 and TWO_OVER_E < value:
+            return TWO_OVER_E, "2/e basepoint cap"
+    return value, witness
+
+
+def per_sample_ball_radius(cfg, z, band, band_sheets, samples, seed=0):
+    """ball_inclusion_radius as a per-sample loop over per_pair_upper_bound:
+    the reference for the kernel-backed probe."""
+    r1, r2 = band
+    R = cfg.annulus.R
+    sheets = sorted(set(band_sheets))
+    z = recanonicalize(cfg, z)
+    rng = np.random.default_rng(seed)
+    margin = 1e-3 * (R - 1.0)
+    radii = rng.uniform(1.0 + margin, R - margin, samples)
+    angles = rng.uniform(0.0, 2.0 * math.pi, samples)
+    point_sheets = rng.integers(0, cfg.sheets + 1, samples)
+    d_min = math.inf
+    for r, th, sh in zip(radii, angles, point_sheets):
+        if r1 <= r <= r2 and int(sh) in sheets:
+            continue
+        pt = canonicalize(cfg, int(sh), complex(r * math.cos(th), r * math.sin(th)))
+        d_min = min(d_min, _atanh(per_pair_upper_bound(cfg, z, pt)[0]))
+    for j in range(4, -21, -1):
+        if 2.0 ** j <= d_min:
+            return 2.0 ** j
+    return None
+
+
+def count_lift_calls(monkeypatch):
+    """Route glued's lift_distances through a counter; returns its list."""
+    calls = []
+    real = glued_module.lift_distances
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(glued_module, "lift_distances", counting)
+    return calls
+
+
+KERNEL_RADII = [1.0 + 1e-6, 1.5, 4.0, 10.0, 1e3]
+
+
+class TestUpperKernel:
+    """glued_upper_bounds, the probes' many-target upper-bound kernel."""
+
+    @staticmethod
+    def _point(cfg, rng, sheet):
+        R = cfg.annulus.R
+        r = math.exp(rng.uniform(0.02, 0.98) * math.log(R))
+        return canonicalize(cfg, sheet, cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+
+    @pytest.mark.parametrize("N", [8, 20])
+    @pytest.mark.parametrize("R", KERNEL_RADII)
+    def test_matches_the_per_pair_bound_bit_for_bit(self, R, N):
+        cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=N)
+        rng = np.random.default_rng([int(R), N])
+        srt = cfg.annulus.sqrt_R
+        glue = canonicalize(cfg, 0, glue=GluePointIndex(3, 5))
+        centres = [
+            self._point(cfg, rng, 0),  # sheet 0
+            self._point(cfg, rng, 2),  # a shallow sheet
+            self._point(cfg, rng, N),  # the deepest sheet
+            glue,  # a glue point, identified onto sheet 0
+            canonicalize(cfg, 0, srt),  # the basepoint
+            canonicalize(cfg, N - 1, srt),  # a probe point
+        ]
+        for p in centres:
+            qs = [p]
+            qs += [self._point(cfg, rng, 0) for _ in range(3)]
+            qs += [self._point(cfg, rng, p.sheet) for _ in range(3)]
+            qs += [self._point(cfg, rng, int(s)) for s in rng.integers(1, N + 1, 8)]
+            qs += [canonicalize(cfg, s, glue=GluePointIndex(s, 1)) for s in (1, 4, N)]
+            # The glue coordinate off its own sheet names an ordinary point.
+            qs += [canonicalize(cfg, 2, glue=GluePointIndex(5, 3)), glue]
+            qs += [canonicalize(cfg, n, srt) for n in range(N + 1)]
+            reference = [per_pair_upper_bound(cfg, p, q) for q in qs]
+            assert glued_upper_bounds(cfg, p, qs).tolist() == [v for v, _ in reference]
+            assert [glued_upper_bound(cfg, p, q) for q in qs] == reference
+
+    def test_basepoint_pairs_hit_the_cap_both_ways(self, cfg):
+        srt = cfg.annulus.sqrt_R
+        base = canonicalize(cfg, 0, srt)
+        probes = [canonicalize(cfg, n, srt) for n in range(1, cfg.sheets + 1)]
+        reference = [per_pair_upper_bound(cfg, base, pt) for pt in probes]
+        assert sum(w == "2/e basepoint cap" for _, w in reference) >= 5
+        assert glued_upper_bounds(cfg, base, probes).tolist() == [v for v, _ in reference]
+        for pt, (v, _) in zip(probes, reference):
+            assert glued_upper_bounds(cfg, pt, [base]).tolist() == [v]
+
+    def test_an_empty_target_list_gives_an_empty_array(self, cfg):
+        out = glued_upper_bounds(cfg, canonicalize(cfg, 3, 2.0), [])
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("centre_sheet", [0, 3])
+    @pytest.mark.parametrize("N", [8, 12])
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_ball_radius_matches_the_per_sample_loop(self, R, N, centre_sheet, seed):
+        cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=N)
+        z = canonicalize(cfg, centre_sheet, R ** 0.5)
+        band, sheets = (R ** 0.3, R ** 0.7), [0, 1, centre_sheet]
+        expected = per_sample_ball_radius(cfg, z, band, sheets, samples=60, seed=seed)
+        assert ball_inclusion_radius(cfg, z, band, sheets, samples=60, seed=seed) == expected
+
+    def test_a_band_holding_every_sample_keeps_radius_16(self, cfg):
+        # Samples keep 1e-3 (R - 1) off both circles, so this band and every
+        # sheet hold them all: no sample limits the radius.
+        z = canonicalize(cfg, 0, 2.0)
+        band, sheets = (1.002, 3.998), list(range(cfg.sheets + 1))
+        assert per_sample_ball_radius(cfg, z, band, sheets, samples=50) == 16.0
+        assert ball_inclusion_radius(cfg, z, band, sheets, samples=50) == 16.0
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_ball_rejects_sample_counts_without_evidence(self, cfg, samples):
+        z = canonicalize(cfg, 0, 2.0)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ball_inclusion_radius(cfg, z, (1.5, 3.0), [0], samples=samples)
+
+    def test_completeness_moduli_match_the_per_pair_bounds(self, cfg):
+        rng = np.random.default_rng(5)
+        seq = [self._point(cfg, rng, int(s)) for s in (0, 0, 3, 3, 7, 0, 12, 3)]
+        seq.append(canonicalize(cfg, 0, glue=GluePointIndex(3, 2)))
+        seq.append(seq[2])
+        n = len(seq)
+        upper = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                upper[i, j] = upper[j, i] = per_pair_upper_bound(cfg, seq[i], seq[j])[0]
+        stats = completeness_probe(cfg, seq).tail_stats
+        assert [s["cauchy_modulus_mobius"] for s in stats] == [
+            float(upper[t:, t:].max()) for t in range(n - 1)
+        ]
+
+    def test_noncompactness_uppers_match_the_per_pair_bounds(self, cfg):
+        rep = noncompactness_probe(cfg, cfg.sheets)
+        base = canonicalize(cfg, 0, cfg.annulus.sqrt_R)
+        pts = [parse_point(cfg, s) for s in rep.points]
+        assert rep.upper_bounds == [per_pair_upper_bound(cfg, base, pt)[0] for pt in pts]
+
+    def test_ball_probe_makes_a_few_lift_calls_per_sheet(self, cfg, monkeypatch):
+        calls = count_lift_calls(monkeypatch)
+        z = canonicalize(cfg, 0, 2.0)
+        assert ball_inclusion_radius(cfg, z, (1.8, 2.2), [0], samples=200) is not None
+        assert 0 < len(calls) <= 3 * (cfg.sheets + 1) + 1
+
+    def test_noncompactness_probe_makes_a_few_lift_calls_per_sheet(self, cfg, monkeypatch):
+        calls = count_lift_calls(monkeypatch)
+        assert noncompactness_probe(cfg, cfg.sheets).passed
+        # One leg from the basepoint, one mid leg per probed sheet and one
+        # call for every probe's own leg; pair by pair it would be three per
+        # sheet.
+        assert 0 < len(calls) <= cfg.sheets + 3
 
 
 class TestNoncompactness:
