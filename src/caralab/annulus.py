@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -147,9 +148,17 @@ def _deck_shifts(cfg: AnnulusConfig) -> np.ndarray:
     another, and its distance is at least tanh|x|, which rounds to 1 past
     |x| = 20: no lift outside the window can win.
     """
-    shift = 2.0 * math.pi ** 2 / cfg.log_R
+    return _deck_window(cfg.R)
+
+
+@lru_cache(maxsize=128)
+def _deck_window(R: float) -> np.ndarray:
+    # One read-only table per R, built once rather than on every lift call.
+    shift = 2.0 * math.pi ** 2 / math.log(R)
     K = 1 + math.ceil(40.0 / shift)
-    return np.arange(-K, K + 1) * shift
+    table = np.arange(-K, K + 1) * shift
+    table.setflags(write=False)
+    return table
 
 
 def _log_lift(cfg: AnnulusConfig, w) -> Tuple[np.ndarray, np.ndarray]:
@@ -228,10 +237,16 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> Minim
     return MinimizeResult(float(grid[j]), float(values[j]), len(grid))
 
 
+@lru_cache(maxsize=128)
 def _prime_powers(R: float) -> Optional[np.ndarray]:
-    """q^(2k), k = 1..K, with q = 1/R and q^(2K) < 1e-17; None past the cap."""
+    """q^(2k), k = 1..K, with q = 1/R and q^(2K) < 1e-17, as one read-only
+    array per R; None past the cap."""
     K = math.ceil(math.log(1e-17) / (-2.0 * math.log(R)))
-    return R ** (-2.0 * np.arange(1, K + 1)) if K <= _MAX_PRIME_TERMS else None
+    if K > _MAX_PRIME_TERMS:
+        return None
+    table = R ** (-2.0 * np.arange(1, K + 1))
+    table.setflags(write=False)
+    return table
 
 
 def _prime(x: np.ndarray, q2k: np.ndarray) -> np.ndarray:

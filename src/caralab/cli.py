@@ -206,13 +206,21 @@ def _parse_band(text: str) -> Tuple[float, float]:
         raise ValueError(f"malformed band {text!r}: expected 'r1,r2'") from None
 
 
+def _parse_band_sheets(text: Optional[str], cfg: SpaceConfig) -> List[int]:
+    # Leaving the option out means every sheet; an empty value is malformed.
+    if text is None:
+        return list(range(cfg.sheets + 1))
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed band sheets {text!r}: expected 'n,m,...'") from None
+
+
 def cmd_glued_ball(args) -> int:
     cfg = _space_config(args)
     z = parse_point(cfg, args.z)
     band = _parse_band(args.band)
-    sheets = [int(s) for s in args.band_sheets.split(",")] if args.band_sheets else list(
-        range(cfg.sheets + 1)
-    )
+    sheets = _parse_band_sheets(args.band_sheets, cfg)
     radius = ball_inclusion_radius(cfg, z, band, sheets, samples=args.samples, seed=args.seed)
     _emit(args, _document(args, "glued ball", ball={
         "centre": format_point(z),

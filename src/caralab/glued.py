@@ -2,7 +2,9 @@
 attachment points, holomorphic test families on the quotient, and
 cross-sheet distance brackets plus non-compactness / completeness probes.
 The probes read their upper bounds from one many-target kernel
-(glued_upper_bounds); glued_upper_bound is its one-target case.
+(glued_upper_bounds); glued_upper_bound is its one-target case.  The middle
+glue-path leg between two sheets >= 1 depends only on (R, sheet pair) and is
+computed once per process into a bounded, read-only cache.
 
 Sheet n (n >= 1) carries 2^n attachment points R^(1 - 1/j),
 j = 2^n .. 2^(n+1) - 1, each identified with the same coordinate on sheet 0.
@@ -269,8 +271,10 @@ def evaluate_admissible(cfg: SpaceConfig, F: AdmissibleFunction, p: SpacePoint) 
 # Distance bounds on the truncated space.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _one_over_e_threshold(n_max: int) -> Optional[int]:
-    # Block products of |x(m)| are R-free and cached in sweeps; any R > 1 works.
+    # Block products of |x(m)| are R-free and cached in sweeps; any R > 1
+    # works.  One entry per truncation depth, so at most MAX_SHEETS.
     return verify_one_over_e_products(2.0, n_max).threshold_found
 
 
@@ -325,7 +329,11 @@ def _exits(cfg: SpaceConfig, p: SpacePoint) -> np.ndarray:
     # straight from its glue table; a point already on sheet 0 exits at itself.
     if p.sheet == 0:
         return np.array([p.coord])
-    return _glue_coordinates(cfg.annulus.R, p.sheet)[_exit_indices(p.sheet)]
+    return _sheet_exits(cfg.annulus.R, p.sheet)
+
+
+def _sheet_exits(R: float, sheet: int) -> np.ndarray:
+    return _glue_coordinates(R, sheet)[_exit_indices(sheet)]
 
 
 def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:
@@ -339,6 +347,25 @@ def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:
 def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
     """atanh of the annulus upper bound, broadcast over arrays of points."""
     return np.arctanh(lift_distances(acf, a, b).min(axis=(-2, -1)))
+
+
+# Each middle leg holds at most MAX_EXITS^2 float64 (8 KB), so the cache
+# stays under 8 MB.
+MID_LEG_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=MID_LEG_CACHE_SIZE)
+def _mid_leg(R: float, s: int, t: int) -> np.ndarray:
+    """The middle glue-path leg between sheets s, t >= 1: the Poincare upper
+    bound from each exit of sheet s (rows) to each exit of sheet t (columns),
+    as one read-only float64 array per (R, sheet pair).
+
+    Lift distances read only R, so the leg is shared by every family and
+    grid setting.
+    """
+    table = _poincare_upper(AnnulusConfig(R), _sheet_exits(R, s)[:, None], _sheet_exits(R, t))
+    table.setflags(write=False)
+    return table
 
 
 class _UpperPaths(NamedTuple):
@@ -356,6 +383,9 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     Same-sheet targets take the annulus lift minimum in one call.  Each leg
     of the cross-sheet paths p -> exit -> exit -> q is computed once per
     distinct exit set: h_p once, mid once per target sheet, h_q in one call.
+    When p and the target sheet are both off sheet 0, mid depends only on
+    (R, sheet pair) and is read from the per-process _mid_leg cache; an end
+    on sheet 0 exits at itself, so its mid is computed per call.
     """
     acf = cfg.annulus
     paths = _UpperPaths([0.0] * len(qs), [0] * len(qs), [False] * len(qs))
@@ -395,8 +425,10 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     for (s, ts), row in zip(groups.items(), rows):
         if s == 0:  # each sheet-0 target is its own exit: one mid column each
             mid = _poincare_upper(acf, a[:, None], coords[0]).T[:, :, None]
-        else:
+        elif p.sheet == 0:
             mid = _poincare_upper(acf, a[:, None], row[0])[None]
+        else:
+            mid = _mid_leg(acf.R, p.sheet, s)[None]
         legs = h_q[offset:offset + row.size].reshape(row.shape)[:, None, :]
         offset += row.size
         # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
@@ -406,12 +438,11 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
     srt = acf.sqrt_R
     if abs(p.coord - srt) <= 1e-12:
-        for t in (t for ts in groups.values() for t in ts):
-            q = qs[t]
-            if abs(q.coord - srt) > 1e-12 or 0 not in (p.sheet, q.sheet):
-                continue
-            n0 = _one_over_e_threshold(cfg.sheets)
-            if n0 is not None and max(p.sheet, q.sheet) >= n0 and TWO_OVER_E < paths.values[t]:
+        probes = [t for ts in groups.values() for t in ts
+                  if abs(qs[t].coord - srt) <= 1e-12 and 0 in (p.sheet, qs[t].sheet)]
+        n0 = _one_over_e_threshold(cfg.sheets) if probes else None
+        for t in probes:
+            if n0 is not None and max(p.sheet, qs[t].sheet) >= n0 and TWO_OVER_E < paths.values[t]:
                 paths.values[t] = TWO_OVER_E
                 paths.capped[t] = True
     return paths

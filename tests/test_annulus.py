@@ -22,6 +22,7 @@ from caralab import (
 )
 from caralab.annulus import (
     _deck_shifts,
+    _deck_window,
     _prime_powers,
     _zero_factor,
     minimize,
@@ -294,6 +295,24 @@ class TestUpperBound:
         # K = 1 + ceil(40 / shift) with shift = 2 pi^2 / ln R.
         assert len(_deck_shifts(AnnulusConfig(R=4.0))) == 2 * 4 + 1
         assert len(_deck_shifts(AnnulusConfig(R=1e12))) == 2 * 57 + 1
+
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 4.0, 1e12])
+    def test_per_R_tables_are_read_only_and_stable_across_a_cache_clear(self, R):
+        shift = 2.0 * math.pi ** 2 / math.log(R)
+        K = 1 + math.ceil(40.0 / shift)
+        tables = (_deck_shifts(AnnulusConfig(R=R)), _prime_powers(R))
+        assert tables[0].tobytes() == (np.arange(-K, K + 1) * shift).tobytes()
+        # Two configs at one R share the table.
+        assert _deck_shifts(AnnulusConfig(R=R, family_degree=1)) is tables[0]
+        for table in (t for t in tables if t is not None):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        _deck_window.cache_clear()
+        _prime_powers.cache_clear()
+        again = (_deck_shifts(AnnulusConfig(R=R)), _prime_powers(R))
+        for old, new in zip(tables, again):
+            assert (old is None and new is None) or old.tobytes() == new.tobytes()
 
     @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.5, 4.0, 1e3, 1e12])
     def test_matches_scalar_scan_over_a_wider_window(self, R):

@@ -196,6 +196,10 @@ class TestGlued:
             (["--samples", "-3"], "samples must be >= 1, got -3"),
             (["--band", "1.5"], "malformed band '1.5': expected 'r1,r2'"),
             (["--band", "1.5,"], "malformed band '1.5,': expected 'r1,r2'"),
+            # An empty value names an empty set, not "all sheets".
+            (["--band-sheets", "0,x"], "malformed band sheets '0,x': expected 'n,m,...'"),
+            (["--band-sheets", ","], "malformed band sheets ',': expected 'n,m,...'"),
+            (["--band-sheets", ""], "malformed band sheets '': expected 'n,m,...'"),
         ],
     )
     def test_ball_without_evidence_or_band_is_usage_error(self, capsys, option, message):
@@ -207,6 +211,15 @@ class TestGlued:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_band_sheets_default_to_every_sheet(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["glued", "ball", *BOUND, "--N", "5", "0:2,0", "--band", "1.5,3.0",
+             "--samples", "20"],
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["ball"]["band_sheets"] == [0, 1, 2, 3, 4, 5]
 
 
 # Each command with the positional arguments it needs, and the config keys

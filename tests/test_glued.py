@@ -34,15 +34,17 @@ from caralab import glued as glued_module
 from caralab.disk import _ONE_MINUS, _atanh
 from caralab.glued import (
     MAX_EXITS,
+    MID_LEG_CACHE_SIZE,
     _exit_indices,
     _exit_point,
     _exits,
     _glue_coordinates,
+    _mid_leg,
     _one_over_e_threshold,
     _poincare_upper,
     _sheet_blaschke,
 )
-from caralab.sweeps import TWO_OVER_E, _block_log_moduli
+from caralab.sweeps import TWO_OVER_E, _block_log_moduli, verify_one_over_e_products
 from conftest import random_annulus_points
 
 
@@ -609,6 +611,65 @@ class TestUpperKernel:
         assert 0 < len(calls) <= cfg.sheets + 3
 
 
+class TestMidLegCache:
+    """The exit-to-exit leg between two sheets >= 1, cached per (R, sheet pair)."""
+
+    SHEET_PAIRS = [(1, 2), (2, 1), (5, 6), (1, 20), (20, 19)]
+
+    @pytest.mark.parametrize("R", KERNEL_RADII)
+    def test_equals_the_uncached_leg_bit_for_bit(self, R):
+        cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=20)
+        for s, t in self.SHEET_PAIRS:
+            a, b = (_exits(cfg, canonicalize(cfg, n, cfg.annulus.sqrt_R)) for n in (s, t))
+            leg = _mid_leg(R, s, t)
+            assert leg.dtype == np.float64 and leg.shape == (len(a), len(b))
+            assert leg.tobytes() == _poincare_upper(cfg.annulus, a[:, None], b).tobytes()
+
+    def test_the_cached_leg_is_read_only(self):
+        leg = _mid_leg(4.0, 5, 6)
+        assert not leg.flags.writeable
+        with pytest.raises(ValueError):
+            leg[0, 0] = 0.0
+
+    def test_the_cache_is_bounded(self):
+        assert _mid_leg.cache_info().maxsize == MID_LEG_CACHE_SIZE
+        assert MID_LEG_CACHE_SIZE * MAX_EXITS ** 2 * 8 <= 8 * 2 ** 20
+
+    @pytest.mark.parametrize("R", KERNEL_RADII)
+    def test_kernel_matches_the_per_pair_bound_cold_and_warm(self, R):
+        kernel = TestUpperKernel()
+        _mid_leg.cache_clear()
+        kernel.test_matches_the_per_pair_bound_bit_for_bit(R, 20)
+        cold = _mid_leg.cache_info()
+        assert cold.misses > 0
+        kernel.test_matches_the_per_pair_bound_bit_for_bit(R, 20)
+        warm = _mid_leg.cache_info()
+        assert warm.misses == cold.misses and warm.hits > cold.hits
+
+    def test_a_repeated_sheet_pair_skips_the_mid_leg(self, cfg, monkeypatch):
+        _mid_leg.cache_clear()
+        calls = count_lift_calls(monkeypatch)
+        p, q = canonicalize(cfg, 3, 2.0), canonicalize(cfg, 7, complex(1.5, 1.0))
+        first = glued_upper_bound(cfg, p, q)
+        assert len(calls) == 3
+        del calls[:]
+        # Another pair on the same sheets, under other family settings: the
+        # leg is keyed on R and the sheet pair only.
+        other = SpaceConfig(AnnulusConfig(R=4.0, family_degree=1, grid_density=5), sheets=12)
+        p2, q2 = canonicalize(other, 3, complex(0.5, 2.5)), canonicalize(other, 7, -3.0)
+        glued_upper_bound(other, p2, q2)
+        assert len(calls) == 2
+        assert glued_upper_bound(cfg, p, q) == first == per_pair_upper_bound(cfg, p, q)
+
+    def test_a_sheet_zero_end_bypasses_the_cache(self, cfg):
+        _mid_leg.cache_clear()
+        for p, q in [(canonicalize(cfg, 0, 2.0), canonicalize(cfg, 7, -2.0)),
+                     (canonicalize(cfg, 7, -2.0), canonicalize(cfg, 0, 2.0)),
+                     (canonicalize(cfg, 0, glue=GluePointIndex(3, 1)), canonicalize(cfg, 5, 2.0))]:
+            assert glued_upper_bound(cfg, p, q) == per_pair_upper_bound(cfg, p, q)
+        assert _mid_leg.cache_info().currsize == 0
+
+
 class TestNoncompactness:
     def test_probe_passes_at_full_truncation(self, cfg):
         rep = noncompactness_probe(cfg, cfg.sheets)
@@ -621,7 +682,11 @@ class TestNoncompactness:
 
     def test_threshold_reads_the_shared_block_table(self):
         _block_log_moduli.cache_clear()
+        _one_over_e_threshold.cache_clear()
+        # The repeat is answered per truncation depth; the sweep reads the
+        # table the threshold filled.
         assert _one_over_e_threshold(12) == _one_over_e_threshold(12) == 1
+        assert verify_one_over_e_products(4.0, 12).threshold_found == 1
         info = _block_log_moduli.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
