@@ -37,18 +37,20 @@ class CoveringBranchError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnnulusConfig:
-    """Outer radius R of A(R) plus the numeric policy for bound searches."""
+    """Outer radius R of A(R) plus the numeric policy for bound searches;
+    family_degree 1 keeps the radial quotients, 2 adds degree-2 proper maps."""
 
     R: float
-    family_degree: int = 4
+    family_degree: int = 2
     grid_density: int = 3
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 1.0 + 1e-9):
             raise ValueError(f"outer radius must exceed 1, got R = {self.R!r}")
-        for name in ("family_degree", "grid_density"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.family_degree not in (1, 2):
+            raise ValueError(f"family_degree must be 1 or 2, got {self.family_degree!r}")
+        if self.grid_density < 1:
+            raise ValueError(f"grid_density must be >= 1, got {self.grid_density!r}")
 
     @property
     def log_R(self) -> float:
@@ -272,7 +274,7 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     """Best certified lower bound for the Mobius distance C*_{A(R)}(a, b).
 
     Maximizes mobius(f(a), f(b)) over holomorphic maps f: A(R) -> D: the
-    radial quotients w/R and 1/w and, for family_degree >= 2, the degree-2
+    radial quotients w/R and 1/w and, for family_degree 2, the degree-2
     proper maps with one zero at a (or b) and the other on |w| = R/|a|,
     searched over 8 * grid_density angles.  Every member certifies, so search
     slack never invalidates the result.
@@ -288,7 +290,7 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
                         (mobius_distance(1.0 / a, 1.0 / b), "1/w"))
 
     q2k = _prime_powers(R)
-    if cfg.family_degree < 2 or q2k is None:
+    if cfg.family_degree == 1 or q2k is None:
         return best, witness
     n = 8 * cfg.grid_density
     for zero, other in ((a, b), (b, a)):
@@ -334,10 +336,17 @@ def _lift_witness(cfg: AnnulusConfig, j: int) -> str:
 
 def annulus_distance_bracket(cfg: AnnulusConfig, a: complex, b: complex) -> DistanceBracket:
     """Two-sided certified bracket for C*_{A(R)}(a, b)."""
-    lower, lw = annulus_lower_bound(cfg, a, b)
-    upper, uw = annulus_upper_bound(cfg, a, b)
+    return _bracket(cfg, a, b, annulus_lower_bound, annulus_upper_bound, repr)
+
+
+def _bracket(cfg, a, b, lower_bound, upper_bound, fmt) -> DistanceBracket:
+    """The pair's bounds as one bracket: a lower bound up to 1e-9 above the
+    upper one is float noise and is clamped, past that BracketOrderError
+    names the pair, its points rendered by fmt.  Both spaces use it."""
+    lower, lw = lower_bound(cfg, a, b)
+    upper, uw = upper_bound(cfg, a, b)
     if lower > upper + 1e-9:
         raise BracketOrderError(
-            f"lower bound {lower!r} exceeds upper bound {upper!r} for pair ({a!r}, {b!r})"
+            f"lower bound {lower!r} exceeds upper bound {upper!r} for pair ({fmt(a)}, {fmt(b)})"
         )
     return DistanceBracket(min(lower, upper), upper, lw, uw)

@@ -31,6 +31,7 @@ from .glued import (
     format_point,
     glued_distance_bracket,
     noncompactness_probe,
+    parse_complex,
     parse_point,
 )
 from .sweeps import (
@@ -155,16 +156,9 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK
 
 
-def _parse_complex(text: str) -> complex:
-    re_s, _, im_s = text.partition(",")
-    if not im_s:
-        raise ValueError(f"malformed point {text!r}: expected 're,im'")
-    return complex(float(re_s), float(im_s))
-
-
 def cmd_annulus_distance(args) -> int:
     bracket = annulus_distance_bracket(
-        _annulus_config(args), _parse_complex(args.a), _parse_complex(args.b)
+        _annulus_config(args), parse_complex(args.a), parse_complex(args.b)
     )
     _emit(args, _document(
         args, "annulus-distance", a=args.a, b=args.b, bracket=_bracket_record(bracket)
@@ -239,7 +233,7 @@ OPTIONS = {
     "N": ("--N", dict(type=int, default=12, help="sheet truncation (default 12)")),
     "m_max": ("--m-max", dict(type=int, default=10 ** 6)),
     "n_max": ("--n-max", dict(type=int, default=20)),
-    "family_degree": ("--family-degree", dict(type=int, default=4)),
+    "family_degree": ("--family-degree", dict(type=int, choices=(1, 2), default=2)),
     "grid_density": ("--grid-density", dict(type=int, default=3)),
     "format": ("--format", dict(choices=("json", "csv"), default="json")),
     "band": ("--band", dict(required=True, help="compact band 'r1,r2'")),

@@ -22,21 +22,21 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+# perfbench/spans.py rebinds glued.mobius_distance, glued.BlaschkeProduct,
+# glued.annulus_upper_bound and glued.verify_one_over_e_products by name, so
+# all four stay module names here.
 from .annulus import (
     AnnulusConfig,
-    AnnulusDomainError,
-    BracketOrderError,
     DistanceBracket,
     annulus_lower_bound,
     annulus_upper_bound,  # noqa: F401
     lift_distances,
     _as_annulus_point,
+    _bracket,
     _lift_witness,
 )
-# perfbench/spans.py rebinds glued.mobius_distance, glued.BlaschkeProduct and
-# glued.annulus_upper_bound by name, so all three stay module names here.
 from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance  # noqa: F401
-from .sweeps import TWO_OVER_E, verify_one_over_e_products
+from .sweeps import ONE_OVER_E_N0, TWO_OVER_E, verify_one_over_e_products  # noqa: F401
 
 # Glue-index/coordinate agreement tolerance when both are supplied.
 GLUE_COORD_TOL = 1e-9
@@ -152,17 +152,31 @@ def format_point(p: SpacePoint) -> str:
     return f"{p.sheet}:{format(p.coord.real, '.17g')},{format(p.coord.imag, '.17g')}"
 
 
+def _fields(text: str, parts: List[str], kinds: tuple, expected: str) -> list:
+    """parts converted by kinds, one each; anything else is a malformed point."""
+    try:
+        if len(parts) == len(kinds):
+            return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError:
+        pass
+    raise ValueError(f"malformed point {text!r}: expected {expected}")
+
+
+def parse_complex(text: str) -> complex:
+    """Parse an annulus point "re,im"."""
+    return complex(*_fields(text, text.split(","), (float, float), "'re,im'"))
+
+
 def parse_point(cfg: SpaceConfig, text: str) -> SpacePoint:
     """Parse "sheet:re,im" or "glue:n,m" into a canonical SpacePoint."""
-    head, _, tail = text.partition(":")
-    if not tail:
-        raise ValueError(f"malformed point {text!r}: expected 'sheet:re,im' or 'glue:n,m'")
-    parts = tail.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"malformed point {text!r}: expected two comma-separated fields")
+    expected = "'sheet:re,im' or 'glue:n,m'"
+    head, colon, tail = text.partition(":")
+    parts = [head, *tail.split(",")] if colon else [text]
     if head == "glue":
-        return canonicalize(cfg, 0, glue=GluePointIndex(int(parts[0]), int(parts[1])))
-    return canonicalize(cfg, int(head), complex(float(parts[0]), float(parts[1])))
+        n, m = _fields(text, parts[1:], (int, int), expected)
+        return canonicalize(cfg, 0, glue=GluePointIndex(n, m))
+    sheet, re_, im = _fields(text, parts, (int, float, float), expected)
+    return canonicalize(cfg, sheet, complex(re_, im))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +208,12 @@ def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
 
 @dataclass(frozen=True)
 class AdmissibleFunction:
-    """A holomorphic map (truncated space) -> D from one of three families.
+    """A holomorphic map (truncated space) -> D from one of two families.
 
     pullback        : an annulus test map composed with the sheet-forgetting
                       projection; constant across sheets.
     sheet-supported : a Blaschke composition over w/R vanishing on the glue
                       set of one target sheet, and 0 on every other sheet.
-    phi-style       : the halved difference of a sheet-supported map between
-                      a sheet-n and the sheet-0 representative, pulled back
-                      through the projection.
     """
 
     kind: str
@@ -224,12 +235,6 @@ class AdmissibleFunction:
             target_sheet=target_sheet,
         )
 
-    @staticmethod
-    def phi_style(sheet: int) -> "AdmissibleFunction":
-        if sheet < 1:
-            raise ValueError("phi-style functions require a sheet index >= 1")
-        return AdmissibleFunction(kind="phi-style", label=f"phi[{sheet}]", target_sheet=sheet)
-
     def evaluate_on_representative(self, cfg: SpaceConfig, sheet: int, coord: complex) -> complex:
         """Raw evaluation at the representative (coord, sheet) before any
         quotient collapse; used to check well-definedness across glue."""
@@ -241,11 +246,6 @@ class AdmissibleFunction:
                 return 0.0 + 0.0j
             B = _sheet_blaschke(cfg.annulus.R, self.target_sheet)
             return B(coord / cfg.annulus.R)
-        if self.kind == "phi-style":
-            inner = AdmissibleFunction.sheet_supported(self.target_sheet)
-            v_n = inner.evaluate_on_representative(cfg, self.target_sheet, coord)
-            v_0 = inner.evaluate_on_representative(cfg, 0, coord)
-            return (v_n - v_0) / 2.0
         raise ValueError(f"unknown admissible-function kind {self.kind!r}")
 
     def evaluate(self, cfg: SpaceConfig, p: SpacePoint) -> complex:
@@ -270,13 +270,6 @@ def evaluate_admissible(cfg: SpaceConfig, F: AdmissibleFunction, p: SpacePoint) 
 # ---------------------------------------------------------------------------
 # Distance bounds on the truncated space.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _one_over_e_threshold(n_max: int) -> Optional[int]:
-    # Block products of |x(m)| are R-free and cached in sweeps; any R > 1
-    # works.  One entry per truncation depth, so at most MAX_SHEETS.
-    return verify_one_over_e_products(2.0, n_max).threshold_found
-
 
 def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
     """Best certified lower bound for the quotient Mobius distance.
@@ -436,13 +429,13 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
                lambda x: min(math.tanh(x), _ONE_MINUS))
 
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
+    # The probe end is on a sheet n >= 1 = ONE_OVER_E_N0, so the cap holds.
     srt = acf.sqrt_R
     if abs(p.coord - srt) <= 1e-12:
         probes = [t for ts in groups.values() for t in ts
                   if abs(qs[t].coord - srt) <= 1e-12 and 0 in (p.sheet, qs[t].sheet)]
-        n0 = _one_over_e_threshold(cfg.sheets) if probes else None
         for t in probes:
-            if n0 is not None and max(p.sheet, qs[t].sheet) >= n0 and TWO_OVER_E < paths.values[t]:
+            if TWO_OVER_E < paths.values[t]:
                 paths.values[t] = TWO_OVER_E
                 paths.capped[t] = True
     return paths
@@ -462,8 +455,8 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     sheet: restriction of quotient functions to the sheet dominates by the
     annulus upper bound.  Cross-sheet: triangle paths through attachment
     points, added in the Poincare scale and mapped back with tanh.  The pair
-    (sqrt(R) on sheet 0, sqrt(R) on sheet n) additionally caps at 2/e once n
-    clears the block-product threshold.
+    (sqrt(R) on sheet 0, sqrt(R) on sheet n) additionally caps at 2/e, since
+    every block product is at most 1/e (ONE_OVER_E_N0).
     """
     p = recanonicalize(cfg, p)
     q = recanonicalize(cfg, q)
@@ -482,14 +475,7 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
 
 def glued_distance_bracket(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> DistanceBracket:
     """Two-sided certified bracket for the quotient Mobius distance."""
-    lower, lw = glued_lower_bound(cfg, p, q)
-    upper, uw = glued_upper_bound(cfg, p, q)
-    if lower > upper + 1e-9:
-        raise BracketOrderError(
-            f"lower bound {lower!r} exceeds upper bound {upper!r} for pair "
-            f"({format_point(p)}, {format_point(q)})"
-        )
-    return DistanceBracket(min(lower, upper), upper, lw, uw)
+    return _bracket(cfg, p, q, glued_lower_bound, glued_upper_bound, format_point)
 
 
 # ---------------------------------------------------------------------------
@@ -526,37 +512,28 @@ def noncompactness_probe(cfg: SpaceConfig, n_max: int) -> NoncompactnessReport:
     basepoint, with pairwise lower bounds above a positive floor.
 
     Sheet 1 is skipped: sqrt(R) is itself an attachment point of sheet 1, so
-    its copy there is the basepoint.
+    its copy there is the basepoint.  A pairwise floor needs two points, so
+    n_max >= 3.
     """
     if not 1 <= n_max <= cfg.sheets:
         raise ValueError(f"n_max must lie in [1, {cfg.sheets}], got {n_max!r}")
-    n0 = _one_over_e_threshold(cfg.sheets)
-    if n0 is None:
-        raise RuntimeError("block-product threshold not reached within the truncation")
+    if n_max < 3:
+        raise ValueError(f"the probe needs two sheets past sheet 1, so n_max >= 3; got {n_max!r}")
     srt = cfg.annulus.sqrt_R
     base = canonicalize(cfg, 0, srt)
-    ns = list(range(max(n0, 2), n_max + 1))
-    pts = [canonicalize(cfg, n, srt) for n in ns]
+    pts = [canonicalize(cfg, n, srt) for n in range(2, n_max + 1)]
 
     uppers = _upper_paths(cfg, base, pts).values
     inside = all(u <= TWO_OVER_E + 1e-12 for u in uppers)
-
-    floor = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            floor = min(floor, glued_lower_bound(cfg, pts[i], pts[j])[0])
-    if not pts:
-        floor = 0.0
-
-    passed = inside and len(pts) >= 1 and floor > 0.0
+    floor = min(glued_lower_bound(cfg, p, q)[0] for i, p in enumerate(pts) for q in pts[i + 1:])
     return NoncompactnessReport(
-        threshold_n0=n0,
+        threshold_n0=ONE_OVER_E_N0,
         ball_radius=TWO_OVER_E,
         points=[format_point(pt) for pt in pts],
         upper_bounds=uppers,
-        pairwise_lower_floor=floor if math.isfinite(floor) else 0.0,
+        pairwise_lower_floor=floor,
         distinct_sheets=len({pt.sheet for pt in pts}),
-        passed=passed,
+        passed=inside and floor > 0.0,
     )
 
 

@@ -19,15 +19,23 @@ import numpy as np
 
 from .annulus import preimage_moduli
 
-# Float noise thresholds: algebraic identities vs optimizer-tainted values.
+# Float noise threshold of the algebraic identities.
 EPS_ALGEBRAIC = 1e-12
-EPS_NUMERIC = 1e-9
 
 TWO_PI = 2.0 * math.pi
 ONE_OVER_E = 1.0 / math.e
 TWO_OVER_E = 2.0 / math.e
 
-# Indices per slice of a block sum in _block_log_sums: the slice's few work
+# Least n0 with prod_{m=2^n}^{2^(n+1)-1} |x(m)| <= 1/e for every n >= n0, the
+# bound behind the non-compact 2/e ball; proved, so nothing sweeps for it.
+#   log|x(m)| = -atanh(sin(pi/m)) <= -sin(pi/m) <= -pi/m + (pi/m)^3 / 6.
+#   With N = 2^n: sum_{m=N}^{2N-1} 1/m >= ln 2 and sum 1/m^3 <= N / N^3 = 1/N^2.
+#   So block n >= 2 (N >= 4) has log-product <= -pi ln 2 + pi^3 / (6 N^2)
+#   <= -1.85 < -1, and block 1 contains |x(2)| = 0.
+# verify_one_over_e_products cross-checks it on the swept blocks.
+ONE_OVER_E_N0 = 1
+
+# Indices per slice of a block sum in _block_sums: the slice's few work
 # arrays stay in cache.  At least 2^12, so blocks n <= 12 stay one slice.
 _CHUNK = 1 << 13
 
@@ -167,9 +175,8 @@ def _log0(values: np.ndarray) -> np.ndarray:
     return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
 
 
-def _block_log_sums(f, n_max: int) -> Tuple[float, ...]:
-    """Sums of log f(m) (-inf where f(m) <= 0) over the blocks
-    m = 2^n .. 2^(n+1)-1, n = 1..n_max.
+def _block_sums(terms, n_max: int) -> Tuple[float, ...]:
+    """Sums of terms(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max.
 
     Each block is evaluated and summed in slices of _CHUNK indices; a block
     of at most _CHUNK indices is one slice and one np.sum.
@@ -178,16 +185,23 @@ def _block_log_sums(f, n_max: int) -> Tuple[float, ...]:
     for n in range(1, n_max + 1):
         stop = 2 ** (n + 1)
         sums.append(sum(
-            float(np.sum(_log0(f(np.arange(m, min(m + _CHUNK, stop))))))
+            float(np.sum(terms(np.arange(m, min(m + _CHUNK, stop)))))
             for m in range(2 ** n, stop, _CHUNK)
         ))
     return tuple(sums)
 
 
+def _log_moduli(ms: np.ndarray) -> np.ndarray:
+    """log|x(m)| = -atanh(sin(pi/m)), exactly -inf at m = 2; the log-tan form
+    would add math.pi's rounding near pi/4 to every term of a block."""
+    with np.errstate(divide="ignore"):
+        return -np.arctanh(np.sin(math.pi / ms))
+
+
 @lru_cache(maxsize=None)
 def _block_log_moduli(n_max: int) -> Tuple[float, ...]:
     """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
-    return _block_log_sums(preimage_moduli, n_max)
+    return _block_sums(_log_moduli, n_max)
 
 
 def tau(R: float, t) -> np.ndarray:
@@ -380,7 +394,7 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    lower = _block_log_sums(lambda ms: lower_bound_quotient(R, ms), n_max)
+    lower = _block_sums(lambda ms: _log0(lower_bound_quotient(R, ms)), n_max)
     upper = _block_log_moduli(n_max)
 
     ok_rows = []
@@ -433,6 +447,7 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
     """Find the least n0 with prod_{m=2^n}^{2^(n+1)-1} |x(m)| <= 1/e for every
     n in [n0, n_max]; the bound behind the non-compact 2/e ball.
 
+    A cross-check of ONE_OVER_E_N0, the proved n0 = 1 the glued space uses.
     The block products involve only disk moduli |x(m)| and are R-free; R is
     accepted for interface symmetry with the other sweeps.
     """

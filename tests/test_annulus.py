@@ -10,6 +10,7 @@ from caralab import (
     AnnulusConfig,
     AnnulusDomainError,
     BoundConstants,
+    BracketOrderError,
     annulus_distance_bracket,
     annulus_lower_bound,
     annulus_upper_bound,
@@ -23,6 +24,7 @@ from caralab import (
 from caralab.annulus import (
     _deck_shifts,
     _deck_window,
+    _bracket,
     _prime_powers,
     _zero_factor,
     minimize,
@@ -78,6 +80,20 @@ class TestConfig:
             AnnulusConfig(R=1.0)
         with pytest.raises(ValueError):
             AnnulusConfig(R=4.0, grid_density=0)
+
+    @pytest.mark.parametrize("degree", [0, 3, 4])
+    def test_family_degree_is_one_or_two(self, degree):
+        with pytest.raises(ValueError, match="family_degree must be 1 or 2"):
+            AnnulusConfig(R=4.0, family_degree=degree)
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_default_family_is_degree_two(self, R):
+        rng = np.random.default_rng(47)
+        pts = random_annulus_points(rng, R, 40)
+        default, degree2 = AnnulusConfig(R), AnnulusConfig(R, family_degree=2)
+        for a, b in zip(pts[:20], pts[20:]):
+            assert annulus_distance_bracket(default, a, b) == annulus_distance_bracket(
+                degree2, a, b)
 
 
 class TestCoveringMap:
@@ -333,6 +349,22 @@ class TestUpperBound:
 
 
 class TestBracket:
+    @staticmethod
+    def stub_bracket(lower, upper):
+        return _bracket(None, 2j, 3 + 0j, lambda *args: (lower, "lower"),
+                        lambda *args: (upper, "upper"), repr)
+
+    def test_order_noise_is_clamped(self):
+        br = self.stub_bracket(0.5 + 5e-10, 0.5)
+        assert (br.lower, br.upper, br.lower_witness) == (0.5, 0.5, "lower")
+
+    def test_order_violation_names_the_pair(self):
+        with pytest.raises(
+            BracketOrderError,
+            match=r"^lower bound 0\.6 exceeds upper bound 0\.5 for pair \(2j, \(3\+0j\)\)$",
+        ):
+            self.stub_bracket(0.6, 0.5)
+
     def test_degenerate_pair(self, acf):
         br = annulus_distance_bracket(acf, complex(2.0, 0.1), complex(2.0, 0.1))
         assert br.lower == br.upper == 0.0

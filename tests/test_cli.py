@@ -136,6 +136,30 @@ class TestAnnulusDistance:
         code, _, _ = run(capsys, ["annulus-distance", *BOUND, "9,0", "2,0"])
         assert code == EXIT_USAGE
 
+    def test_family_degree_past_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["annulus-distance", "--family-degree", "3", "2,0", "0,2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 3" in capsys.readouterr().err
+
+
+# Malformed points, one parser for both point syntaxes.
+MALFORMED = [
+    (["annulus-distance", *BOUND, "2,0,1", "0,2"], "malformed point '2,0,1': expected 're,im'"),
+    (["glued", "distance", *BOUND, "x:1,2", "0:2,0"],
+     "malformed point 'x:1,2': expected 'sheet:re,im' or 'glue:n,m'"),
+    (["glued", "distance", *BOUND, "glue:1.5,2", "0:2,0"],
+     "malformed point 'glue:1.5,2': expected 'sheet:re,im' or 'glue:n,m'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED)
+def test_malformed_point_names_the_expected_form(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
 
 class TestGlued:
     def test_distance(self, capsys):
@@ -162,6 +186,13 @@ class TestGlued:
         rep = json.loads(out)["noncompactness"]
         assert rep["passed"] is True
         assert rep["distinct_sheets"] >= 6
+
+    def test_noncompact_with_one_probe_sheet_is_usage_error(self, capsys):
+        # --N 2 probes sheet 2 alone: no pair, so no pairwise floor.
+        code, out, err = run(capsys, ["glued", "noncompact", *BOUND, "--N", "2"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: the probe needs two sheets past sheet 1, so n_max >= 3; got 2\n"
 
     def test_complete(self, capsys):
         pts = [f"0:{2.0 + 1.0 / k},0" for k in range(2, 16)]
@@ -309,14 +340,26 @@ class TestOptionSets:
 
 
 class TestBenchmarkScript:
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_every_step_parses(self, monkeypatch, seed):
-        # The benchmark's fixed CLI session must stay valid command lines.
+    @pytest.fixture
+    def workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module("workloads")
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_step_parses(self, workloads, seed):
+        # The benchmark's fixed CLI session must stay valid command lines,
+        # each building the config its command builds.
         parser = cli.build_parser()
         for _, argv in workloads.cli_script(seed):
-            assert callable(parser.parse_args(argv).func)
+            args = parser.parse_args(argv)
+            assert callable(args.func)
+            if "N" in args.config_keys:
+                assert isinstance(cli._space_config(args), SpaceConfig)
+            elif "family_degree" in args.config_keys:
+                assert isinstance(cli._annulus_config(args), AnnulusConfig)
+
+    def test_library_config_constructs(self, workloads):
+        assert AnnulusConfig(R=4.0, **workloads.FAST).family_degree == 2
 
 
 class TestInternalErrors:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from caralab import (
     AdmissibleFunction,
     AnnulusConfig,
+    BracketOrderError,
     EvaluationEscapeError,
     GluePointIndex,
     SpaceConfig,
@@ -40,11 +41,16 @@ from caralab.glued import (
     _exits,
     _glue_coordinates,
     _mid_leg,
-    _one_over_e_threshold,
     _poincare_upper,
     _sheet_blaschke,
 )
-from caralab.sweeps import TWO_OVER_E, _block_log_moduli, verify_one_over_e_products
+from caralab import sweeps
+from caralab.sweeps import (
+    ONE_OVER_E_N0,
+    TWO_OVER_E,
+    _block_log_moduli,
+    verify_one_over_e_products,
+)
 from conftest import random_annulus_points
 
 
@@ -169,7 +175,6 @@ class TestAdmissibleFunctions:
         fam = [
             AdmissibleFunction.pullback(lambda w: 1.0 / w, "1/w"),
             AdmissibleFunction.sheet_supported(3),
-            AdmissibleFunction.phi_style(3),
         ]
         for F in fam:
             for g in glue_points(cfg, 3):
@@ -177,16 +182,6 @@ class TestAdmissibleFunctions:
                 v0 = F.evaluate_on_representative(cfg, 0, c)
                 v3 = F.evaluate_on_representative(cfg, 3, c)
                 assert abs(v0 - v3) <= 1e-12
-
-    def test_phi_style_is_half_difference(self, cfg):
-        # Phi-style pulls back through the projection, so it is constant
-        # across sheets and equals half the sheet-supported value.
-        F = AdmissibleFunction.phi_style(2)
-        inner = AdmissibleFunction.sheet_supported(2)
-        c = complex(2.2, 0.4)
-        on_sheet = inner.evaluate_on_representative(cfg, 2, c)
-        assert F.evaluate_on_representative(cfg, 2, c) == on_sheet / 2.0
-        assert F.evaluate_on_representative(cfg, 0, c) == on_sheet / 2.0
 
     def test_escape_is_diagnosed(self, cfg):
         F = AdmissibleFunction.pullback(lambda w: w, "identity")
@@ -452,10 +447,8 @@ def per_pair_upper_bound(cfg, p, q):
         return pt.sheet if pt.sheet >= 1 and abs(pt.coord - srt) <= 1e-12 else None
 
     n = is_probe(q) if is_base(p) else (is_probe(p) if is_base(q) else None)
-    if n is not None:
-        n0 = _one_over_e_threshold(cfg.sheets)
-        if n0 is not None and n >= n0 and TWO_OVER_E < value:
-            return TWO_OVER_E, "2/e basepoint cap"
+    if n is not None and n >= ONE_OVER_E_N0 and TWO_OVER_E < value:
+        return TWO_OVER_E, "2/e basepoint cap"
     return value, witness
 
 
@@ -670,6 +663,18 @@ class TestMidLegCache:
         assert _mid_leg.cache_info().currsize == 0
 
 
+class TestBracketOrder:
+    def test_violation_names_the_pair_as_text(self, cfg, monkeypatch):
+        monkeypatch.setattr(glued_module, "glued_lower_bound", lambda *args: (0.99, "stub"))
+        p, q = canonicalize(cfg, 0, 2.0), canonicalize(cfg, 3, 2.0)
+        upper = glued_upper_bound(cfg, p, q)[0]
+        with pytest.raises(BracketOrderError) as exc:
+            glued_distance_bracket(cfg, p, q)
+        assert str(exc.value) == (
+            f"lower bound 0.99 exceeds upper bound {upper!r} for pair (0:2,0, 3:2,0)"
+        )
+
+
 class TestNoncompactness:
     def test_probe_passes_at_full_truncation(self, cfg):
         rep = noncompactness_probe(cfg, cfg.sheets)
@@ -682,13 +687,40 @@ class TestNoncompactness:
 
     def test_threshold_reads_the_shared_block_table(self):
         _block_log_moduli.cache_clear()
-        _one_over_e_threshold.cache_clear()
-        # The repeat is answered per truncation depth; the sweep reads the
-        # table the threshold filled.
-        assert _one_over_e_threshold(12) == _one_over_e_threshold(12) == 1
-        assert verify_one_over_e_products(4.0, 12).threshold_found == 1
+        # The sweep cross-checks the proved constant; a sweep at another R
+        # reads the table the first one filled.
+        assert verify_one_over_e_products(2.0, 12).threshold_found == ONE_OVER_E_N0 == 1
+        assert verify_one_over_e_products(4.0, 12).threshold_found == ONE_OVER_E_N0
         info = _block_log_moduli.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_the_cap_runs_no_sweep(self, monkeypatch):
+        # n0 = 1 is proved, so neither the 2/e cap nor the probe sweeps for it.
+        def fail(*args):
+            raise AssertionError("the glued space ran the 1/e block sweep")
+
+        monkeypatch.setattr(sweeps, "verify_one_over_e_products", fail)
+        monkeypatch.setattr(glued_module, "verify_one_over_e_products", fail)
+        cfg = SpaceConfig(AnnulusConfig(R=4.0, family_degree=2, grid_density=2), sheets=20)
+        base = canonicalize(cfg, 0, cfg.annulus.sqrt_R)
+        br = glued_distance_bracket(cfg, base, canonicalize(cfg, 20, cfg.annulus.sqrt_R))
+        assert (br.upper, br.upper_witness) == (TWO_OVER_E, "2/e basepoint cap")
+        rep = noncompactness_probe(cfg, cfg.sheets)
+        assert rep.passed and rep.threshold_n0 == ONE_OVER_E_N0
+        assert TWO_OVER_E in rep.upper_bounds
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_needs_two_probe_sheets(self, cfg, n_max):
+        # Sheet 1's copy of sqrt(R) is the basepoint, so n_max <= 2 leaves at
+        # most one probe point and no pair to floor.
+        with pytest.raises(ValueError, match="n_max >= 3"):
+            noncompactness_probe(cfg, n_max)
+
+    def test_smallest_probe_has_one_pair(self, cfg):
+        rep = noncompactness_probe(cfg, 3)
+        assert rep.passed and rep.points == ["2:2,0", "3:2,0"]
+        assert rep.pairwise_lower_floor == glued_lower_bound(
+            cfg, canonicalize(cfg, 2, 2.0), canonicalize(cfg, 3, 2.0))[0] > 0.0
 
     def test_to_dict_round(self, cfg):
         d = noncompactness_probe(cfg, 5).to_dict()

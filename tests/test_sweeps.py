@@ -17,11 +17,13 @@ from caralab import (
 )
 from caralab.sweeps import (
     EPS_ALGEBRAIC,
+    ONE_OVER_E_N0,
     _SLICE,
     _SuffixScan,
     _block_log_moduli,
-    _block_log_sums,
+    _block_sums,
     _log0,
+    _log_moduli,
     _quotient_and_tau,
     _suffix_threshold,
     _threshold_and_worst,
@@ -369,15 +371,51 @@ class TestOneOverEProducts:
         res = verify_one_over_e_products(4.0, 3)
         assert res.samples[0] == (1, 0.0, 1.0 / math.e)
 
+    def test_the_analytic_block_bound_covers_the_table(self):
+        # ONE_OVER_E_N0's proof: block n >= 2, N = 2^n, has log-product at
+        # most -pi ln 2 + pi^3 / (6 N^2), and that bound is below -1.
+        table = _block_log_moduli(24)
+        assert table[0] == -math.inf
+        for n, log_prod in enumerate(table[1:], start=2):
+            bound = -math.pi * math.log(2.0) + math.pi ** 3 / (6.0 * 4.0 ** n)
+            assert log_prod <= bound <= -1.85
+
+    def test_the_sweep_confirms_the_proved_threshold(self):
+        for n_max in range(1, 25):
+            assert verify_one_over_e_products(4.0, n_max).threshold_found == ONE_OVER_E_N0
+
 
 class TestBlockLogModuli:
     def test_block_sums_match_direct_logs(self):
         table = _block_log_moduli(12)
         assert len(table) == 12
         for n, block_sum in enumerate(table, start=1):
+            ms = np.arange(2 ** n, 2 ** (n + 1))
             with np.errstate(divide="ignore"):
-                direct = np.sum(np.log(preimage_moduli(np.arange(2 ** n, 2 ** (n + 1)))))
+                direct = np.sum(-np.arctanh(np.sin(math.pi / ms)))
             assert block_sum == float(direct)
+
+    def test_log_moduli_are_the_logs_of_the_moduli(self):
+        ms = np.arange(2, 4096)
+        with np.errstate(all="raise"):
+            logs = _log_moduli(ms)
+        assert logs[0] == -math.inf
+        assert logs[1:] == pytest.approx(np.log(preimage_moduli(ms[1:])), rel=1e-13)
+
+    def test_block_16_matches_a_40_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        # -log|x(m)| = atanh(sin x) = x + x^3/6 + x^5/24 + 61 x^7/5040 + ...
+        # with x = pi/m < 5e-5; the terms dropped add up to below 1e-35.  Over
+        # the block, sum 1/m is a digamma difference and sum 1/m^k a Hurwitz
+        # zeta difference.
+        N = 2 ** 16
+        with mpmath.workdps(40):
+            sums = {1: mpmath.digamma(2 * N) - mpmath.digamma(N)}
+            sums.update({k: mpmath.zeta(k, N) - mpmath.zeta(k, 2 * N) for k in (3, 5, 7)})
+            coefficients = {1: 1, 3: mpmath.mpf(1) / 6, 5: mpmath.mpf(1) / 24,
+                            7: mpmath.mpf(61) / 5040}
+            exact = -mpmath.fsum(c * mpmath.pi ** k * sums[k] for k, c in coefficients.items())
+            assert abs(_block_log_moduli(16)[15] - exact) <= 1e-13
 
     def test_shorter_table_is_a_bitwise_prefix(self):
         assert _block_log_moduli(20)[:12] == _block_log_moduli(12)
@@ -389,7 +427,7 @@ class TestBlockLogModuli:
     )
     def test_sliced_blocks_match_whole_block_sums(self, f):
         # Blocks past 2^12 indices are summed slice by slice.
-        for n, block_sum in enumerate(_block_log_sums(f, 20), start=1):
+        for n, block_sum in enumerate(_block_sums(lambda ms: _log0(f(ms)), 20), start=1):
             if n > 12:
                 whole = float(np.sum(np.log(f(np.arange(2 ** n, 2 ** (n + 1))))))
                 assert block_sum == pytest.approx(whole, rel=1e-14)
