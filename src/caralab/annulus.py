@@ -227,16 +227,18 @@ _MAX_PRIME_TERMS = 1000
 
 
 class MinimizeResult(NamedTuple):
-    x: float
-    fun: float
+    x: np.ndarray
+    fun: np.ndarray
     nfev: int
 
 
 def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> MinimizeResult:
-    """Minimize a vectorized 1-D function over a grid: its best point."""
+    """Minimize a vectorized function over each row of a grid: each row's
+    best point and value, and the number of points evaluated."""
     values = fun(grid)
-    j = int(np.argmin(values))
-    return MinimizeResult(float(grid[j]), float(values[j]), len(grid))
+    j = np.argmin(values, axis=-1)[..., None]
+    best = np.take_along_axis(grid, j, -1)[..., 0], np.take_along_axis(values, j, -1)[..., 0]
+    return MinimizeResult(*best, grid.size)
 
 
 @lru_cache(maxsize=128)
@@ -257,19 +259,6 @@ def _prime(x: np.ndarray, q2k: np.ndarray) -> np.ndarray:
     return (1.0 - x) * np.prod((1.0 - q2k * t) * (1.0 - q2k / t), axis=-1)
 
 
-def _zero_factor(R: float, q2k: np.ndarray, zero, w: complex) -> np.ndarray:
-    """P(w/zero) / P(w conj(zero) / R^2), broadcast over zero and w.
-
-    The degree-2 proper map A(R) -> D with zeros w1, w2, |w1 w2| = R, is
-    g(w) = factor(w1) factor(w2) / w: in z = w/R, q = 1/R this is
-    q z^-1 prod_i P(z/a_i) / P(z conj(a_i)), which has |g| = 1 on both
-    boundary circles.
-    """
-    x = w / zero
-    p = _prime(np.stack([x, x * (np.abs(zero) / R) ** 2], axis=-1), q2k)
-    return p[..., 0] / p[..., 1]
-
-
 def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[float, str]:
     """Best certified lower bound for the Mobius distance C*_{A(R)}(a, b).
 
@@ -278,6 +267,15 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     proper maps with one zero at a (or b) and the other on |w| = R/|a|,
     searched over 8 * grid_density angles.  Every member certifies, so search
     slack never invalidates the result.
+
+    The degree-2 map with zeros w1, w2, |w1 w2| = R, is
+    g(w) = F(w1) F(w2) / w with F(zero) = P(w/zero) / P(w conj(zero) / R^2):
+    in z = w/R, q = 1/R this is q z^-1 prod_i P(z/a_i) / P(z conj(a_i)), which
+    has |g| = 1 on both boundary circles.  Its value is |g| at the end that
+    is not a zero.  One prime-function call evaluates F at that end for both
+    orientations' fixed zeros and every grid zero.  Ties go to the radial
+    quotients, then to a's orientation: a candidate must beat the best so far
+    strictly after the _ONE_MINUS clamp.
     """
     a = _as_annulus_point(cfg, a, "a")
     b = _as_annulus_point(cfg, b, "b")
@@ -293,19 +291,36 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     if cfg.family_degree == 1 or q2k is None:
         return best, witness
     n = 8 * cfg.grid_density
-    for zero, other in ((a, b), (b, a)):
-        rho = R / abs(zero)
-        fixed = _zero_factor(R, q2k, zero, other) / other
+    # Row o: the fixed zero and the other end of orientation o (a, then b).
+    pairs = ((a, b), (b, a))
+    rhos = [R / abs(zero) for zero, _ in pairs]
+    # The grid starts at arg(other), so rotating the pair rotates the grid.
+    step = 2.0 * math.pi / n * np.arange(n)
+    grid = np.array([cmath.phase(other) + step for _, other in pairs])
+    others = np.array([[other] for _, other in pairs])
 
-        def objective(theta):
-            return -np.abs(fixed * _zero_factor(R, q2k, rho * np.exp(1j * theta), other))
+    def objective(theta):
+        # x = w / zero and w conj(zero) / R^2 per zero, the fixed zero first.
+        x = np.empty((2, n + 1, 2), dtype=complex)
+        zeros = np.array(rhos)[:, None] * np.exp(1j * theta)
+        x[:, 1:, 0] = others / zeros
+        x[:, 1:, 1] = x[:, 1:, 0] * (np.abs(zeros) / R) ** 2
+        # The fixed zero's x and factor stay scalar arithmetic: Python's
+        # complex quotient and numpy's scalar power and division round
+        # differently from the array forms, and the bounds keep their bits.
+        for o, (zero, other) in enumerate(pairs):
+            x[o, 0, 0] = x0 = other / zero
+            x[o, 0, 1] = x0 * (np.abs(zero) / R) ** 2
+        p = _prime(x, q2k)
+        f = p[..., 0] / p[..., 1]
+        fixed = np.array([[f[o, 0] / other] for o, (_, other) in enumerate(pairs)])
+        return -np.abs(fixed * f[:, 1:])
 
-        # The grid starts at arg(other), so rotating the pair rotates the grid.
-        grid = cmath.phase(other) + 2.0 * math.pi / n * np.arange(n)
-        res = minimize(objective, grid)
-        v = min(-res.fun, _ONE_MINUS)
+    res = minimize(objective, grid)
+    for (zero, _), rho, theta, fun in zip(pairs, rhos, res.x.tolist(), res.fun.tolist()):
+        v = min(-fun, _ONE_MINUS)
         if v > best:
-            zeros = (zero, rho * cmath.exp(1j * res.x))
+            zeros = (zero, rho * cmath.exp(1j * theta))
             best, witness = v, "degree-2 proper map, zeros " + ", ".join(
                 f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
     return best, witness

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class BlaschkeProduct:
             value = complex(np.prod(num))
         return value
 
-    def log_abs_at(self, z: complex) -> float:
+    def log_abs_at(self, z: complex, stop: Optional[float] = None) -> float:
         """log |B(z)| as a real sum over the factors; -inf at a zero.
 
         Each factor has |(z - a) / (1 - conj(a) z)|^2 = 1 - u with
@@ -115,7 +115,16 @@ class BlaschkeProduct:
         u > 1/2 (z near their zero) take log|z - a| - log|1 - conj(a) z|
         instead, which stays accurate for tiny zeros.  The zeros are taken in
         chunks of _CHUNK, so the work arrays stay in cache and no per-zero
-        array is kept.
+        array is kept; the per-chunk sums fix the result's bits.
+
+        With a stop level, the sum returns its running half-total as soon as
+        that is below stop, and otherwise runs to the end, so the result is
+        either < stop or bit for bit the full value.  The running total never
+        rises: each log1p(-u) with u >= 0 rounds to a value <= 0, adding a
+        value <= 0 never raises a float sum, and a near factor's exact log is
+        below log(1/2), far beyond the rounding of its two logs.  So the full
+        value is below stop too.  Callers that act on the comparison keep a
+        margin below their threshold for that rounding.
         """
         z = _as_disk_point(z)
         r = abs(z)
@@ -147,6 +156,8 @@ class BlaschkeProduct:
                 total += 2.0 * float(np.sum(np.log(gap))) - float(np.sum(np.log(far[near])))
                 u[near] = 0.0
             total += float(np.sum(np.log1p(u, out=u)))
+            if stop is not None and 0.5 * total < stop:
+                break
         return 0.5 * total
 
 

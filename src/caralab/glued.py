@@ -279,6 +279,14 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     is a genuine holomorphic map on the quotient, so each value certifies.
     Same-sheet pairs skip the sheet-supported candidate, which can never beat
     the pullback of w/R there.
+
+    A cross-sheet candidate's log-modulus sum over its 2^t zeros stops once
+    it is below log(best) - 1e-9 (1 + |log(best)|), where best is the bound
+    so far: the full sum would be lower still (BlaschkeProduct.log_abs_at),
+    and the margin is far wider than the rounding of log, exp and the sum, so
+    a stopped candidate is one the full sum would also have rejected, and
+    value and witness stay bit for bit those of the full sums.  A best of 0
+    (equal coordinates on two sheets) sets no stop.
     """
     p = recanonicalize(cfg, p)
     q = recanonicalize(cfg, q)
@@ -299,7 +307,11 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
         if pt.sheet == 0:
             continue
         B = _sheet_blaschke(R, pt.sheet)
-        v = min(math.exp(B.log_abs_at(pt.coord / R)), _ONE_MINUS)
+        stop = None
+        if best > 0.0:
+            log_best = math.log(best)  # <= 0, as best < 1
+            stop = log_best - 1e-9 * (1.0 - log_best)
+        v = min(math.exp(B.log_abs_at(pt.coord / R, stop)), _ONE_MINUS)
         if v > best:
             best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness

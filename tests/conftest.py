@@ -1,4 +1,6 @@
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,3 +31,16 @@ def random_annulus_points(rng: np.random.Generator, R: float, n: int):
     r = rng.uniform(1.0 + 0.02 * (R - 1.0), R - 0.02 * (R - 1.0), n)
     th = rng.uniform(0.0, 2.0 * math.pi, n)
     return r * np.exp(1j * th)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """perfbench/<name>.py as a module, compiled from source: the perfbench
+    package is not imported and no bytecode is written next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module

@@ -25,8 +25,9 @@ from caralab.annulus import (
     _deck_shifts,
     _deck_window,
     _bracket,
+    _ONE_MINUS,
+    _prime,
     _prime_powers,
-    _zero_factor,
     minimize,
     preimage_modulus_sq_formula,
 )
@@ -69,9 +70,58 @@ def reference_upper_bound(R, a, b, K):
                for first, second in ((a, b), (b, a)) for k in range(-K, K + 1))
 
 
+def zero_factor(R, q2k, zero, w):
+    """P(w/zero) / P(w conj(zero) / R^2), broadcast over zero and w: one
+    zero's factor of the degree-2 proper map."""
+    x = w / zero
+    p = _prime(np.stack([x, x * (np.abs(zero) / R) ** 2], axis=-1), q2k)
+    return p[..., 0] / p[..., 1]
+
+
 def degree2_map(R, w1, w2, w):
     q2k = _prime_powers(R)
-    return _zero_factor(R, q2k, w1, w) * _zero_factor(R, q2k, w2, w) / w
+    return zero_factor(R, q2k, w1, w) * zero_factor(R, q2k, w2, w) / w
+
+
+def reference_lower_bound(cfg, a, b):
+    """The two-loop search: per orientation, the fixed zero's factor and the
+    grid zeros' factors in separate prime-function calls, the grid argmin,
+    then the clamp and a strict comparison with the best so far.  Also
+    returns each orientation's unclamped degree-2 value."""
+    a, b = complex(a), complex(b)
+    if a == b:
+        return 0.0, "trivial (identical points)", []
+    R = cfg.R
+    best, witness = max((mobius_distance(a / R, b / R), "w/R"),
+                        (mobius_distance(1.0 / a, 1.0 / b), "1/w"))
+    q2k = _prime_powers(R)
+    if cfg.family_degree == 1 or q2k is None:
+        return best, witness, []
+    n = 8 * cfg.grid_density
+    raw = []
+    for zero, other in ((a, b), (b, a)):
+        rho = R / abs(zero)
+        fixed = zero_factor(R, q2k, zero, other) / other
+        grid = cmath.phase(other) + 2.0 * math.pi / n * np.arange(n)
+        values = -np.abs(fixed * zero_factor(R, q2k, rho * np.exp(1j * grid), other))
+        j = int(np.argmin(values))
+        raw.append(-float(values[j]))
+        v = min(-float(values[j]), _ONE_MINUS)
+        if v > best:
+            zeros = (zero, rho * cmath.exp(1j * float(grid[j])))
+            best, witness = v, "degree-2 proper map, zeros " + ", ".join(
+                f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
+    return best, witness, raw
+
+
+def inside(R, r, t):
+    """The point r e^(it), moved inward by ulps until it and its radial
+    quotients lie strictly inside their domains."""
+    while True:
+        w = cmath.rect(r, t)
+        if 1.0 < abs(w) < R and abs(w / R) < 1.0 and abs(1.0 / w) < 1.0:
+            return w
+        r = math.nextafter(r, R if abs(w) <= 1.0 or abs(1.0 / w) >= 1.0 else 1.0)
 
 
 class TestConfig:
@@ -258,6 +308,87 @@ class TestLowerBound:
         res = minimize(lambda t: -np.cos(t - 1.234), grid)
         j = int(np.argmin(-np.cos(grid - 1.234)))
         assert (res.x, res.fun, res.nfev) == (grid[j], -math.cos(grid[j] - 1.234), len(grid))
+        # Row by row on a 2-D grid, every point counted.
+        rows = np.stack([grid, grid + 0.5])
+        res = minimize(lambda t: -np.cos(t - 1.234), rows)
+        j = np.argmin(-np.cos(rows - 1.234), axis=1)
+        assert res.x.tolist() == rows[[0, 1], j].tolist()
+        assert res.fun.tolist() == (-np.cos(rows[[0, 1], j] - 1.234)).tolist()
+        assert res.nfev == 32
+
+
+FAMILY_RADII = [1.03, 1.1, 1.5, 4.0, 10.0, 1e3]
+
+
+class TestBatchedFamily:
+    """One prime-function call per lower bound gives the two-loop search's
+    values and witnesses bit for bit."""
+
+    @staticmethod
+    def pairs(R, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(24):
+            r1, r2 = R ** rng.uniform(0.01, 0.99, 2)
+            t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+            # Every third pair has equal modulus.
+            out.append((inside(R, r1, t1), inside(R, r1 if i % 3 == 0 else r2, t2)))
+        # Next to the outer circle, against an end near the inner circle, at
+        # sqrt(R) and R^0.3, on the same ray and off it: degree-2 values that
+        # round past 1 and clamp to _ONE_MINUS, often tied with w/R.
+        for inner in (1.0 + 1e-12, R ** 0.3, R ** 0.5):
+            for dt in (0.0, 1.0, 3.0):
+                t = rng.uniform(-math.pi, math.pi)
+                out.append((inside(R, inner, t + dt), inside(R, R, t)))
+        return out
+
+    @pytest.mark.parametrize("density", [1, 2, 3])
+    @pytest.mark.parametrize("R", FAMILY_RADII)
+    def test_matches_the_two_loop_search(self, R, density):
+        cfg = AnnulusConfig(R=R, grid_density=density)
+        clamped = 0
+        for a, b in self.pairs(R, density):
+            for p, q in ((a, b), (b, a)):
+                value, witness = annulus_lower_bound(cfg, p, q)
+                expected, expected_witness, raw = reference_lower_bound(cfg, p, q)
+                assert (value, witness) == (expected, expected_witness), (p, q)
+                clamped += max(raw) >= _ONE_MINUS
+        assert clamped >= 4
+
+    @pytest.mark.parametrize("inner, dt, winner", [
+        # w/R clamps too and keeps the tie.
+        (4.0 ** 0.3, 3.0, "w/R"),
+        # Both orientations clamp; a's comes first and b's does not beat it.
+        (1.0 + 1e-12, 0.0, "a"),
+    ])
+    def test_clamped_ties_keep_the_radial_then_first_orientation_order(self, inner, dt, winner):
+        R = 4.0
+        cfg = AnnulusConfig(R=R, grid_density=2)
+        a, b = inside(R, inner, 0.3 + dt), inside(R, R, 0.3)
+        value, witness = annulus_lower_bound(cfg, a, b)
+        expected, expected_witness, raw = reference_lower_bound(cfg, a, b)
+        assert (value, witness) == (expected, expected_witness)
+        assert value == _ONE_MINUS and min(raw) >= _ONE_MINUS
+        if winner == "a":
+            assert witness.startswith(f"degree-2 proper map, zeros {a.real:.17g}")
+        else:
+            assert witness == winner
+
+    @pytest.mark.parametrize("density", [1, 2, 3])
+    def test_one_prime_call_per_lower_bound(self, density, monkeypatch):
+        import caralab.annulus as annulus
+
+        calls = []
+
+        def counting(x, q2k):
+            calls.append(x.shape)
+            return _prime(x, q2k)
+
+        monkeypatch.setattr(annulus, "_prime", counting)
+        cfg = AnnulusConfig(R=4.0, grid_density=density)
+        annulus_lower_bound(cfg, 2.0 + 0.5j, -1.5 + 1.2j)
+        # Both orientations: the fixed zero and 8 * density grid zeros each.
+        assert calls == [(2, 8 * density + 1, 2)]
 
 
 class TestFamilyMonotonicity:

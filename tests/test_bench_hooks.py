@@ -1,29 +1,19 @@
-"""The benchmark's layer instrumentation still finds every caralab name it
-rebinds, and puts each one back.
+"""The benchmark's hooks into caralab still work.
 
-perfbench/spans.py wraps caralab functions by module attribute name, so a
-rename inside caralab only shows up in traced benchmark runs.  This loads
-that file without importing the perfbench package or writing bytecode next
-to it.
+perfbench/spans.py wraps caralab functions by module attribute name, and
+perfbench/workloads.py checks caralab's outputs, so a change inside caralab
+that breaks either only shows up in benchmark runs.  Both files are loaded
+read-only (conftest.load_perfbench).
 """
-
-import types
-from pathlib import Path
 
 import caralab.annulus as annulus
 import caralab.cli as cli
 import caralab.disk as disk
 import caralab.glued as glued
+from caralab import AnnulusConfig
+from conftest import load_perfbench
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 OWNERS = (annulus, cli, disk, glued, disk.BlaschkeProduct)
-
-
-def load_spans() -> types.ModuleType:
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
-    return module
 
 
 def snapshot() -> list:
@@ -31,7 +21,7 @@ def snapshot() -> list:
 
 
 def test_instrumentation_rebinds_and_restores_every_name():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     before = snapshot()
     inst = spans.Instrumentation(spans.Recorder())
     try:
@@ -52,3 +42,26 @@ def test_instrumentation_rebinds_and_restores_every_name():
     for owner, old, new in zip(OWNERS, before, after):
         assert new.keys() == old.keys(), owner
         assert all(new[name] is old[name] for name in old), owner
+
+
+def test_a_traced_lower_bound_counts_both_orientations_grids():
+    # 2 orientations x 8 * grid_density angles, however the search is batched.
+    spans = load_perfbench("spans")
+    rec = spans.Recorder()
+    inst = spans.Instrumentation(rec)
+    try:
+        inst.install()
+        annulus.annulus_lower_bound(AnnulusConfig(R=4.0, grid_density=2), 2.0 + 0.5j, -1.5 + 1.2j)
+    finally:
+        inst.restore()
+    assert rec.counters["annulus.lower.optimizer.nfev"] == 32
+    assert rec.summarize()["calls"]["annulus.lower"] == 1
+
+
+def test_one_glued_deep_cycle_passes_the_workload_checks():
+    workloads = load_perfbench("workloads")
+    work = workloads.GluedDeep(seed=3, seconds=1.0)
+    results = {i: work.op(i) for i in range(work.cycle)}
+    errors = [(i, e) for i, br in results.items() for e in work.check(i, br)]
+    assert errors == []
+    assert work.post_checks(results) == []

@@ -15,6 +15,7 @@ from caralab import (
     preimage_point,
     schwarz_pick_check,
 )
+from caralab.disk import _CHUNK
 from caralab.glued import _sheet_blaschke
 from conftest import random_disk_points
 
@@ -178,6 +179,42 @@ class TestBlaschkeProduct:
         B = BlaschkeProduct(zeros=zeros)
         for z in random_disk_points(rng, 50, max_radius=0.99):
             assert abs(B(z)) < 1.0
+
+
+class TestEarlyStop:
+    """log_abs_at(z, stop) is the full value, bit for bit, when that is at
+    least stop, and otherwise a value below stop."""
+
+    @pytest.mark.parametrize("sheet", [14, 20])
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_stops_only_below_the_level(self, R, sheet):
+        B = _sheet_blaschke(R, sheet)
+        rng = np.random.default_rng(sheet)
+        # Interior points, the sqrt(R) probe, points next to the outer circle
+        # and next to a zero (the near-factor branch), and zeros in the first
+        # and in a later chunk (-inf).
+        zs = [*random_disk_points(rng, 3, max_radius=0.9), 1.0 / math.sqrt(R),
+              cmath.rect(0.999, 0.01), complex(0.99999, 0.0),
+              complex(B.zeros[100], 1e-7), B.zeros[0], B.zeros[-1]]
+        stopped = 0
+        for z in zs:
+            full = B.log_abs_at(z)
+            # Any level above the first chunk's total stops right after it.
+            first = BlaschkeProduct(B.zeros[:_CHUNK]).log_abs_at(z)
+            assert B.log_abs_at(z, math.inf).hex() == first.hex()
+            levels = [-math.inf, 0.0, math.inf]
+            if math.isfinite(full):
+                levels += [full - 1.0, full, math.nextafter(full, 0.0),
+                           full / 2.0, full / 64.0, full / 4096.0]
+            for stop in levels:
+                value = B.log_abs_at(z, stop)
+                if full >= stop:
+                    assert value.hex() == full.hex(), (z, stop)
+                else:
+                    # The running total never rises, so it stays >= full.
+                    assert full <= value < stop, (z, stop)
+                    stopped += value != full
+        assert stopped >= len(zs)
 
 
 class TestSchwarzPickCheck:

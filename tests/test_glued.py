@@ -51,7 +51,7 @@ from caralab.sweeps import (
     _block_log_moduli,
     verify_one_over_e_products,
 )
-from conftest import random_annulus_points
+from conftest import load_perfbench, random_annulus_points
 
 
 @st.composite
@@ -363,6 +363,26 @@ def reference_lower_bound(cfg, p, q):
     return best, witness
 
 
+def full_sum_lower_bound(cfg, p, q):
+    """The glued lower bound with every sheet-supported candidate's log sum
+    run over all of its zeros: no early stop."""
+    p, q = recanonicalize(cfg, p), recanonicalize(cfg, q)
+    if p == q:
+        return 0.0, "trivial (identical points)"
+    best, witness = annulus_lower_bound(cfg.annulus, p.coord, q.coord)
+    witness = f"pullback[{witness}]"
+    if p.sheet == q.sheet:
+        return best, witness
+    R = cfg.annulus.R
+    for pt in sorted((p, q), key=lambda pt: pt.sheet):
+        if pt.sheet == 0:
+            continue
+        v = min(math.exp(_sheet_blaschke(R, pt.sheet).log_abs_at(pt.coord / R)), _ONE_MINUS)
+        if v > best:
+            best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
+    return best, witness
+
+
 class TestSheetSupportedCandidates:
     @given(st.integers(1, 12), space_points(), space_points())
     @settings(max_examples=60, deadline=None)
@@ -408,6 +428,51 @@ class TestSheetSupportedCandidates:
             assert witness == expected_witness
             wins += witness.startswith("sheet-supported")
         assert wins >= 10  # the candidate does win on some of these pairs
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_early_stop_matches_the_full_sums(self, R):
+        deep = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=20)
+        rng = np.random.default_rng(int(R * 10))
+        srt = deep.annulus.sqrt_R
+        pairs = []
+        for _ in range(90):
+            s, t = (int(x) for x in rng.choice(21, size=2, replace=False))
+            a, b = random_annulus_points(rng, R, 2)
+            g = int(rng.integers(1, 21))
+            glue = canonicalize(deep, 0, glue=GluePointIndex(g, int(rng.integers(1, 2 ** g + 1))))
+            pairs += [
+                (canonicalize(deep, s, a), canonicalize(deep, t, b)),
+                (glue, canonicalize(deep, t, b)),
+                (canonicalize(deep, s, srt), canonicalize(deep, t, srt)),
+                # Equal coordinates on two sheets: the pullback bound is 0.
+                (canonicalize(deep, s, a), canonicalize(deep, t, a)),
+            ]
+        wins = 0
+        for p, q in pairs:
+            value, witness = glued_lower_bound(deep, p, q)
+            assert (value, witness) == full_sum_lower_bound(deep, p, q), (p, q)
+            wins += witness.startswith("sheet-supported")
+        assert wins >= 100
+
+    def test_glued_deep_glue_pairs_read_at_most_two_chunks(self, monkeypatch):
+        # Each chunk of 8,192 zeros makes one np.log1p call; the glue pairs
+        # of the benchmark sit against sheets 16-20, 8 to 128 chunks deep.
+        workloads = load_perfbench("workloads")
+        log1p, calls = np.log1p, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return log1p(*args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counting)
+        for seed in (1, 3, 7):
+            work = workloads.GluedDeep(seed=seed, seconds=1.0)
+            for p, q in work.pairs[:work.cycle]:
+                if p.glue is None:
+                    continue
+                calls.clear()
+                glued_lower_bound(work.cfg, p, q)
+                assert 1 <= len(calls) <= 2, (format_point(p), format_point(q))
 
     def test_points_next_to_the_outer_circle_get_brackets(self, cfg):
         # w/R lies within 1e-9 of the unit circle here, closer than complex
