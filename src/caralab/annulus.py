@@ -172,7 +172,8 @@ def _log_lift(cfg: AnnulusConfig, w) -> Tuple[np.ndarray, np.ndarray]:
     """
     w = np.asarray(w, dtype=complex)
     scale = math.pi / cfg.log_R
-    return -scale * np.angle(w), scale * (np.log(np.abs(w)) - 0.5 * cfg.log_R)
+    # arctan2(imag, real) is np.angle's own arithmetic, without its wrapper.
+    return -scale * np.arctan2(w.imag, w.real), scale * (np.log(np.abs(w)) - 0.5 * cfg.log_R)
 
 
 def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
@@ -186,19 +187,23 @@ def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
     sqrt((sinh^2 x + sin^2 p)/(sinh^2 x + cos^2 q)); q lies in (-pi/2, pi/2),
     so the denominator never vanishes.
     """
-    a, b = np.broadcast_arrays(a, b)
-    (xa, ya), (xb, yb) = _log_lift(cfg, a), _log_lift(cfg, b)
-    # Orientation axis: a->b pairs a's principal lift with b's deck lifts.
-    # Swapping the points only flips the sign of p and leaves q unchanged.
-    shifted = np.stack([xb, xa], -1)[..., None] - _deck_shifts(cfg)
-    x = 0.5 * (np.stack([xa, xb], -1)[..., None] - shifted)
-    p = 0.5 * (ya - yb)[..., None, None]
-    q = 0.5 * (ya + yb)[..., None, None]
+    # One lift pass over both points, stacked on a last axis (a, b).
+    w = np.empty(np.broadcast(a, b).shape + (2,), dtype=complex)
+    w[..., 0], w[..., 1] = a, b
+    X, Y = _log_lift(cfg, w)
+    # Orientation axis: a->b pairs a's principal lift with b's deck lifts,
+    # so the deck lifts are the stack reversed.  Swapping the points only
+    # flips the sign of p and leaves q unchanged.
+    x = 0.5 * (X[..., None] - (X[..., ::-1, None] - _deck_shifts(cfg)))
+    ya, yb = Y[..., 0, None, None], Y[..., 1, None, None]
+    p, q = 0.5 * (ya - yb), 0.5 * (ya + yb)
     with np.errstate(over="ignore", invalid="ignore"):
         sh2 = np.sinh(x) ** 2
         d = np.sqrt((sh2 + np.sin(p) ** 2) / (sh2 + np.cos(q) ** 2))
-    # Past |x| = 350 sinh overflows; the distance is 1 to double precision.
-    return np.where(np.abs(x) > 350.0, _ONE_MINUS, np.minimum(d, _ONE_MINUS))
+    # Past |x| = 350 the distance is 1 to double precision: sh2 swamps both
+    # sums (their ratio is exactly 1) or overflows (inf / inf is nan), and
+    # fmin takes _ONE_MINUS over nan.
+    return np.fmin(d, _ONE_MINUS)
 
 
 def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
@@ -236,9 +241,9 @@ def minimize(fun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> Minim
     """Minimize a vectorized function over each row of a grid: each row's
     best point and value, and the number of points evaluated."""
     values = fun(grid)
-    j = np.argmin(values, axis=-1)[..., None]
-    best = np.take_along_axis(grid, j, -1)[..., 0], np.take_along_axis(values, j, -1)[..., 0]
-    return MinimizeResult(*best, grid.size)
+    # Each row's index, then its winner: one integer index per leading axis.
+    best = (*np.indices(values.shape[:-1], sparse=True), values.argmin(axis=-1))
+    return MinimizeResult(grid[best], values[best], grid.size)
 
 
 @lru_cache(maxsize=128)
@@ -253,10 +258,18 @@ def _prime_powers(R: float) -> Optional[np.ndarray]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _angle_steps(n: int) -> np.ndarray:
+    """The grid's angle offsets 2 pi / n * k, k = 0..n-1, read-only per n."""
+    table = 2.0 * math.pi / n * np.arange(n)
+    table.setflags(write=False)
+    return table
+
+
 def _prime(x: np.ndarray, q2k: np.ndarray) -> np.ndarray:
     """Annulus prime function P(x) = (1 - x) prod_k (1 - q^2k x)(1 - q^2k / x)."""
     t = x[..., None]
-    return (1.0 - x) * np.prod((1.0 - q2k * t) * (1.0 - q2k / t), axis=-1)
+    return (1.0 - x) * np.multiply.reduce((1.0 - q2k * t) * (1.0 - q2k / t), axis=-1)
 
 
 def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[float, str]:
@@ -283,9 +296,13 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
         return 0.0, "trivial (identical points)"
     R = cfg.R
 
-    # On a tie "w/R" wins, as it sorts after "1/w".
-    best, witness = max((mobius_distance(a / R, b / R), "w/R"),
-                        (mobius_distance(1.0 / a, 1.0 / b), "1/w"))
+    # On a tie "w/R" wins, as it sorts after "1/w".  A quotient that rounds
+    # onto the unit circle (an end within an ulp of a circle) is dropped:
+    # any subset of the family still certifies.
+    best, witness = max(
+        ((mobius_distance(x, y), name) for x, y, name in
+         ((a / R, b / R, "w/R"), (1.0 / a, 1.0 / b, "1/w")) if abs(x) < 1.0 and abs(y) < 1.0),
+        default=(0.0, "trivial (both radial quotients round onto the unit circle)"))
 
     q2k = _prime_powers(R)
     if cfg.family_degree == 1 or q2k is None:
@@ -295,8 +312,7 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     pairs = ((a, b), (b, a))
     rhos = [R / abs(zero) for zero, _ in pairs]
     # The grid starts at arg(other), so rotating the pair rotates the grid.
-    step = 2.0 * math.pi / n * np.arange(n)
-    grid = np.array([cmath.phase(other) + step for _, other in pairs])
+    grid = np.add.outer([cmath.phase(other) for _, other in pairs], _angle_steps(n))
     others = np.array([[other] for _, other in pairs])
 
     def objective(theta):
@@ -317,12 +333,14 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
         return -np.abs(fixed * f[:, 1:])
 
     res = minimize(objective, grid)
+    zeros = None
     for (zero, _), rho, theta, fun in zip(pairs, rhos, res.x.tolist(), res.fun.tolist()):
         v = min(-fun, _ONE_MINUS)
         if v > best:
-            zeros = (zero, rho * cmath.exp(1j * theta))
-            best, witness = v, "degree-2 proper map, zeros " + ", ".join(
-                f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
+            best, zeros = v, (zero, rho * cmath.exp(1j * theta))
+    if zeros is not None:
+        witness = "degree-2 proper map, zeros " + ", ".join(
+            f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
     return best, witness
 
 

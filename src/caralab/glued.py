@@ -23,8 +23,10 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 # perfbench/spans.py rebinds glued.mobius_distance, glued.BlaschkeProduct,
-# glued.annulus_upper_bound and glued.verify_one_over_e_products by name, so
-# all four stay module names here.
+# glued.annulus_lower_bound, glued.annulus_upper_bound, glued.glued_lower_bound,
+# glued.glued_upper_bound and glued.verify_one_over_e_products by name, and
+# the tests monkeypatch glued.lift_distances, so all eight stay module names
+# here and are looked up at call time.
 from .annulus import (
     AnnulusConfig,
     DistanceBracket,
@@ -304,7 +306,9 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     # is |B(w/R)| at the end on sheet t.
     R = cfg.annulus.R
     for pt in sorted((p, q), key=lambda pt: pt.sheet):
-        if pt.sheet == 0:
+        # An evaluation point w/R that rounds onto the circle drops the
+        # candidate, as in annulus_lower_bound.
+        if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
             continue
         B = _sheet_blaschke(R, pt.sheet)
         stop = None
@@ -387,10 +391,11 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
 
     Same-sheet targets take the annulus lift minimum in one call.  Each leg
     of the cross-sheet paths p -> exit -> exit -> q is computed once per
-    distinct exit set: h_p once, mid once per target sheet, h_q in one call.
-    When p and the target sheet are both off sheet 0, mid depends only on
-    (R, sheet pair) and is read from the per-process _mid_leg cache; an end
-    on sheet 0 exits at itself, so its mid is computed per call.
+    distinct exit set: h_p and h_q together in one call, mid once per target
+    sheet.  When p and the target sheet are both off sheet 0, mid depends
+    only on (R, sheet pair) and is read from the per-process _mid_leg cache;
+    an end on sheet 0 exits at itself, so it has no exit leg and its mid is
+    computed per call.
     """
     acf = cfg.annulus
     paths = _UpperPaths([0.0] * len(qs), [0] * len(qs), [False] * len(qs))
@@ -413,32 +418,31 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     if not groups:
         return paths
 
+    # Both exit legs in one call: p to its exits, then each target sheet's
+    # exits to its targets.  An end on sheet 0 is its own exit, and its leg
+    # to itself, exactly 0.0, is left out: 0.0 + x == x.
     a = _exits(cfg, p)
-    h_p = _poincare_upper(acf, p.coord, a)[:, None]
-    # One row of exits per target: its sheet's glue exits, or on sheet 0 the
-    # target itself.
-    rows = [
-        coords[0][:, None] if s == 0 else _exits(cfg, qs[ts[0]])[None, :].repeat(len(ts), 0)
-        for s, ts in groups.items()
-    ]
-    h_q = _poincare_upper(
-        acf,
-        np.concatenate([row.ravel() for row in rows]),
-        np.concatenate([coords[s].repeat(row.shape[1]) for s, row in zip(groups, rows)]),
-    )
-    offset = 0
-    for (s, ts), row in zip(groups.items(), rows):
+    rows = {s: _exits(cfg, qs[ts[0]]) for s, ts in groups.items() if s != 0}
+    starts = [np.full(len(a), p.coord)] if p.sheet else []
+    ends = [a] if p.sheet else []
+    for s, row in rows.items():
+        starts.append(np.tile(row, len(groups[s])))
+        ends.append(coords[s].repeat(len(row)))
+    h = _poincare_upper(acf, np.concatenate(starts), np.concatenate(ends))
+    h_p, offset = (h[:len(a), None], len(a)) if p.sheet else (0.0, 0)
+    for s, ts in groups.items():
         if s == 0:  # each sheet-0 target is its own exit: one mid column each
-            mid = _poincare_upper(acf, a[:, None], coords[0]).T[:, :, None]
-        elif p.sheet == 0:
-            mid = _poincare_upper(acf, a[:, None], row[0])[None]
+            table = h_p + _poincare_upper(acf, a[:, None], coords[0]).T[:, :, None]
         else:
-            mid = _mid_leg(acf.R, p.sheet, s)[None]
-        legs = h_q[offset:offset + row.size].reshape(row.shape)[:, None, :]
-        offset += row.size
+            if p.sheet == 0:
+                mid = _poincare_upper(acf, p.coord, rows[s])
+            else:
+                mid = _mid_leg(acf.R, p.sheet, s)
+            legs = h[offset:offset + len(ts) * len(rows[s])].reshape(len(ts), 1, -1)
+            offset += legs.size
+            table = (h_p + mid) + legs
         # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
-        record(ts, ((h_p + mid) + legs).reshape(len(ts), -1),
-               lambda x: min(math.tanh(x), _ONE_MINUS))
+        record(ts, table.reshape(len(ts), -1), lambda x: min(math.tanh(x), _ONE_MINUS))
 
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
     # The probe end is on a sheet n >= 1 = ONE_OVER_E_N0, so the cap holds.

@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import types
 from pathlib import Path
@@ -44,3 +46,23 @@ def load_perfbench(name: str) -> types.ModuleType:
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def near_circle_points(R: float, n: int = 4000) -> tuple:
+    """Annulus points within 2e-15 of a boundary circle whose radial
+    quotient rounds onto the unit circle: (inner, outer), where 1/w has
+    modulus 1.0 for the inner ones and w/R for the outer ones.  Searched
+    over n angles, a few ulps in from each circle."""
+    inner, outer = [], []
+    for k in range(n):
+        t = 2.0 * math.pi * k / n
+        for start, toward, quotient, hits in ((1.0, R, lambda w: 1.0 / w, inner),
+                                              (R, 1.0, lambda w: w / R, outer)):
+            r = math.nextafter(start, toward)
+            while abs(r - start) <= 2e-15:
+                w = cmath.rect(r, t)
+                if 1.0 < abs(w) < R and abs(quotient(w)) >= 1.0:
+                    hits.append(w)
+                r = math.nextafter(r, toward)
+    return inner, outer

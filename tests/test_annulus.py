@@ -28,10 +28,11 @@ from caralab.annulus import (
     _ONE_MINUS,
     _prime,
     _prime_powers,
+    lift_distances,
     minimize,
     preimage_modulus_sq_formula,
 )
-from conftest import random_annulus_points
+from conftest import near_circle_points, random_annulus_points
 
 
 @st.composite
@@ -68,6 +69,28 @@ def reference_upper_bound(R, a, b, K):
     shift = 2.0 * math.pi ** 2 / log_R
     return min(distance(lift(first), lift(second) - k * shift)
                for first, second in ((a, b), (b, a)) for k in range(-K, K + 1))
+
+
+def reference_lift_distances(cfg, a, b):
+    """The two-pass lift kernel, frozen: each point's lift on its own, the
+    orientation axis stacked twice, and the |x| > 350 overflow guard as an
+    explicit np.where."""
+    a, b = np.broadcast_arrays(a, b)
+    scale = math.pi / cfg.log_R
+
+    def log_lift(w):
+        w = np.asarray(w, dtype=complex)
+        return -scale * np.angle(w), scale * (np.log(np.abs(w)) - 0.5 * cfg.log_R)
+
+    (xa, ya), (xb, yb) = log_lift(a), log_lift(b)
+    shifted = np.stack([xb, xa], -1)[..., None] - _deck_shifts(cfg)
+    x = 0.5 * (np.stack([xa, xb], -1)[..., None] - shifted)
+    p = 0.5 * (ya - yb)[..., None, None]
+    q = 0.5 * (ya + yb)[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh2 = np.sinh(x) ** 2
+        d = np.sqrt((sh2 + np.sin(p) ** 2) / (sh2 + np.cos(q) ** 2))
+    return np.where(np.abs(x) > 350.0, _ONE_MINUS, np.minimum(d, _ONE_MINUS))
 
 
 def zero_factor(R, q2k, zero, w):
@@ -423,6 +446,38 @@ class TestAutomorphismInvariance:
             assert bound(cfg, R / a, R / b)[0] == pytest.approx(bound(cfg, a, b)[0], abs=1e-12)
 
 
+class TestLiftKernel:
+    """lift_distances against the frozen two-pass kernel, byte for byte."""
+
+    @staticmethod
+    def points(R, rng, shape):
+        r = R ** rng.uniform(0.01, 0.99, shape)
+        return r * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
+
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.5, 4.0, 10.0, 1e3, 1e12])
+    def test_matches_the_two_pass_kernel(self, R):
+        cfg = AnnulusConfig(R=R)
+        rng = np.random.default_rng(59)
+        a, b = self.points(R, rng, 2)
+        column, row = self.points(R, rng, (5, 1)), self.points(R, rng, 7)
+        cases = [
+            (a, b), (b, a), (a, a), (complex(a), b),
+            (a, self.points(R, rng, 32)), (self.points(R, rng, 32), b),
+            (column, row), (self.points(R, rng, (2, 3)), self.points(R, rng, (2, 3))),
+            # Equal modulus, and the same point half a turn round.
+            (abs(a), abs(a) * 1j), (a, -a),
+        ]
+        guarded = 0
+        for p, q in cases:
+            got, expected = lift_distances(cfg, p, q), reference_lift_distances(cfg, p, q)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (p, q)
+            guarded += np.count_nonzero(expected == _ONE_MINUS)
+        if R < 1.5:
+            # Deck shifts of 2 pi^2 / ln R ~ 2e7 put |x| far past 350.
+            assert guarded > 0
+
+
 class TestUpperBound:
     def test_coincident_points_give_zero(self, acf):
         v, _ = annulus_upper_bound(acf, complex(1.5, 0.5), complex(1.5, 0.5))
@@ -477,6 +532,49 @@ class TestUpperBound:
             # differently from math's in the last place.
             assert v == pytest.approx(reference_upper_bound(R, a, b, 4 * K), abs=1e-15)
             assert abs(int(witness.split()[1].removeprefix("k="))) <= K
+
+
+class TestNearCircle:
+    """An end within 2e-15 of a circle whose radial quotient rounds onto the
+    unit circle drops that quotient; the bracket is still certified."""
+
+    def test_the_reported_pair(self):
+        a = 0.22583132917718896 + 0.9741664184122056j
+        assert abs(a) > 1.0 and abs(1.0 / a) == 1.0
+        br = annulus_distance_bracket(AnnulusConfig(R=4.0), a, 2.0)
+        assert 0.0 < br.lower <= br.upper and br.lower_witness != "1/w"
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_a_quotient_on_the_circle_is_dropped(self, R):
+        inner, outer = near_circle_points(R)
+        # 1 / w rounds onto the circle at every radius; w / R only where R
+        # is not a power of two, and rarely.
+        assert len(inner) >= 20 and (R != 1.5 or outer)
+        partners = (math.sqrt(R) + 0j, -1j * R ** 0.3, R ** 0.8 + 0j)
+        for degree in (1, 2):
+            cfg = AnnulusConfig(R=R, family_degree=degree, grid_density=1)
+            for w in inner + outer:
+                dropped = "1/w" if w in inner else "w/R"
+                for other in partners:
+                    for a, b in ((w, other), (other, w)):
+                        br = annulus_distance_bracket(cfg, a, b)
+                        assert 0.0 < br.lower <= br.upper, (a, b)
+                        assert br.lower_witness != dropped
+                        # What remains is the bound without the dropped quotient.
+                        kept = "w/R" if dropped == "1/w" else "1/w"
+                        if degree == 1:
+                            x, y = (a / R, b / R) if kept == "w/R" else (1.0 / a, 1.0 / b)
+                            assert (br.lower, br.lower_witness) == (mobius_distance(x, y), kept)
+
+    def test_both_quotients_dropped(self):
+        R = 1.5
+        inner, outer = near_circle_points(R)
+        a, b = inner[0], outer[0]
+        low = annulus_distance_bracket(AnnulusConfig(R=R, family_degree=1), a, b)
+        assert low.lower == 0.0 and low.lower_witness.startswith("trivial")
+        # The degree-2 family still applies.
+        br = annulus_distance_bracket(AnnulusConfig(R=R), a, b)
+        assert br.lower > 0.5 and br.lower_witness.startswith("degree-2")
 
 
 class TestBracket:

@@ -32,7 +32,7 @@ from caralab import (
     recanonicalize,
 )
 from caralab import glued as glued_module
-from caralab.disk import _ONE_MINUS, _atanh
+from caralab.disk import DiskDomainError, _ONE_MINUS, _atanh
 from caralab.glued import (
     MAX_EXITS,
     MID_LEG_CACHE_SIZE,
@@ -51,7 +51,7 @@ from caralab.sweeps import (
     _block_log_moduli,
     verify_one_over_e_products,
 )
-from conftest import load_perfbench, random_annulus_points
+from conftest import load_perfbench, near_circle_points, random_annulus_points
 
 
 @st.composite
@@ -245,6 +245,43 @@ class TestGlueCoordinateTable:
         p = canonicalize(cfg, 0, complex(2.5, 0.3))
         assert _exits(cfg, p).tolist() == [p.coord]
         assert _exit_point(cfg, p, 0) is p
+
+
+class TestNearCircle:
+    """Ends within 2e-15 of a circle whose radial quotient or w/R rounds onto
+    the unit circle: the candidate is dropped, the bracket still certified."""
+
+    def test_the_reported_pair(self, cfg):
+        a = 0.22583132917718896 + 0.9741664184122056j
+        for sheet in (0, 3, 5):
+            br = glued_distance_bracket(cfg, canonicalize(cfg, sheet, a), canonicalize(cfg, 3, 2.0))
+            assert 0.0 < br.lower <= br.upper and br.lower_witness != "pullback[1/w]"
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_every_sheet_pairing_certifies(self, R):
+        cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=1), sheets=6)
+        inner, outer = near_circle_points(R)
+        for i, w in enumerate(inner[:8] + outer):
+            dropped = "pullback[1/w]" if w in inner else "pullback[w/R]"
+            for s1, s2 in ((3, 3), (3, 0), (0, 3), (3, 5), (5, 3)):
+                p, q = canonicalize(cfg, s1, w), canonicalize(cfg, s2, cmath.rect(math.sqrt(R), i))
+                br = glued_distance_bracket(cfg, p, q)
+                assert 0.0 < br.lower <= br.upper, (p, q)
+                assert br.lower_witness != dropped
+
+    def test_a_w_over_R_on_the_circle_drops_the_sheet_supported_candidate(self):
+        R = 1.5
+        cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=1), sheets=6)
+        w = near_circle_points(R)[1][0]
+        assert abs(w / R) == 1.0
+        p, q = canonicalize(cfg, 4, w), canonicalize(cfg, 0, math.sqrt(R))
+        # The candidate the guard skips would raise.
+        with pytest.raises(DiskDomainError):
+            _sheet_blaschke(R, 4).log_abs_at(w / R)
+        for a, b in ((p, q), (q, p)):
+            value, witness = glued_lower_bound(cfg, a, b)
+            pulled = annulus_lower_bound(cfg.annulus, a.coord, b.coord)
+            assert (value, witness) == (pulled[0], f"pullback[{pulled[1]}]")
 
 
 class TestGluedBounds:
@@ -709,15 +746,27 @@ class TestMidLegCache:
         calls = count_lift_calls(monkeypatch)
         p, q = canonicalize(cfg, 3, 2.0), canonicalize(cfg, 7, complex(1.5, 1.0))
         first = glued_upper_bound(cfg, p, q)
-        assert len(calls) == 3
+        # Both exit legs in one call, and the middle leg.
+        assert len(calls) == 2
         del calls[:]
         # Another pair on the same sheets, under other family settings: the
         # leg is keyed on R and the sheet pair only.
         other = SpaceConfig(AnnulusConfig(R=4.0, family_degree=1, grid_density=5), sheets=12)
         p2, q2 = canonicalize(other, 3, complex(0.5, 2.5)), canonicalize(other, 7, -3.0)
         glued_upper_bound(other, p2, q2)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert glued_upper_bound(cfg, p, q) == first == per_pair_upper_bound(cfg, p, q)
+
+    def test_a_sheet_zero_end_makes_two_lift_calls(self, cfg, monkeypatch):
+        # Its middle leg, and one call for the other end's exit leg: the
+        # sheet-0 end is its own exit, with no leg to itself.
+        calls = count_lift_calls(monkeypatch)
+        zero, seven = canonicalize(cfg, 0, 2.0), canonicalize(cfg, 7, complex(1.5, 1.0))
+        for p, q in [(zero, seven), (seven, zero)]:
+            del calls[:]
+            bound = glued_upper_bound(cfg, p, q)
+            assert len(calls) == 2
+            assert bound == per_pair_upper_bound(cfg, p, q)
 
     def test_a_sheet_zero_end_bypasses_the_cache(self, cfg):
         _mid_leg.cache_clear()
