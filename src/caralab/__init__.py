@@ -55,7 +55,6 @@ from .glued import (
     glued_distance_bracket,
     glued_lower_bound,
     glued_upper_bound,
-    glued_upper_bounds,
     noncompactness_probe,
     parse_point,
     recanonicalize,
@@ -90,7 +89,6 @@ __all__ = [
     "glued_distance_bracket",
     "glued_lower_bound",
     "glued_upper_bound",
-    "glued_upper_bounds",
     "lift_enumeration",
     "mobius_distance",
     "noncompactness_probe",

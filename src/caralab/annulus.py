@@ -142,20 +142,16 @@ def preimage_modulus_sq_formula(ms: np.ndarray) -> np.ndarray:
     return (1.0 - s) / (1.0 + s)
 
 
-def _deck_shifts(cfg: AnnulusConfig) -> np.ndarray:
-    """The deck shifts k * 2 pi^2 / ln R in L-space, |k| <= K = 1 + ceil(40 / shift).
+@lru_cache(maxsize=128)
+def _deck_window(R: float) -> np.ndarray:
+    """The deck shifts k * 2 pi^2 / ln R in L-space, |k| <= K = 1 + ceil(40 / shift),
+    as one read-only table per R, built once rather than on every lift call.
 
     Re L lies in a strip of width shift = 2 pi^2 / ln R, so lift k of one
     point sits at |x| >= (|k| - 1) shift / 2 from the principal lift of
     another, and its distance is at least tanh|x|, which rounds to 1 past
     |x| = 20: no lift outside the window can win.
     """
-    return _deck_window(cfg.R)
-
-
-@lru_cache(maxsize=128)
-def _deck_window(R: float) -> np.ndarray:
-    # One read-only table per R, built once rather than on every lift call.
     shift = 2.0 * math.pi ** 2 / math.log(R)
     K = 1 + math.ceil(40.0 / shift)
     table = np.arange(-K, K + 1) * shift
@@ -194,7 +190,7 @@ def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
     # Orientation axis: a->b pairs a's principal lift with b's deck lifts,
     # so the deck lifts are the stack reversed.  Swapping the points only
     # flips the sign of p and leaves q unchanged.
-    x = 0.5 * (X[..., None] - (X[..., ::-1, None] - _deck_shifts(cfg)))
+    x = 0.5 * (X[..., None] - (X[..., ::-1, None] - _deck_window(cfg.R)))
     ya, yb = Y[..., 0, None, None], Y[..., 1, None, None]
     p, q = 0.5 * (ya - yb), 0.5 * (ya + yb)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,7 +210,7 @@ def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
     """
     w = _as_annulus_point(cfg, w)
     x, y = _log_lift(cfg, w)
-    zs = -np.tanh(0.5 * ((x - _deck_shifts(cfg)) + 1j * y))
+    zs = -np.tanh(0.5 * ((x - _deck_window(cfg.R)) + 1j * y))
     # Far deck translates collapse onto the unit circle in doubles and carry
     # no usable geometry; a lift is kept only if it verifiably round-trips
     # through the covering map, so the returned list is self-certifying.
@@ -361,7 +357,7 @@ def annulus_upper_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
 
 def _lift_witness(cfg: AnnulusConfig, j: int) -> str:
     """Witness text for flat index j of one pair's (2, 2K + 1) lift table."""
-    width = len(_deck_shifts(cfg))
+    width = len(_deck_window(cfg.R))
     orientation, i = divmod(j, width)
     tag = ("a->b", "b->a")[orientation]
     return f"lift k={i - width // 2} ({tag}) against principal lift"

@@ -35,6 +35,7 @@ from .glued import (
     parse_point,
 )
 from .sweeps import (
+    BoundConstants,
     verify_final_chain,
     verify_lower_bound_sweep,
     verify_one_over_e_products,
@@ -137,6 +138,8 @@ def _bracket_record(bracket) -> dict:
 
 def cmd_verify_lemmas(args) -> int:
     args.R = args.R or [4.0]
+    for R in args.R:  # a bad radius fails before any sweep runs
+        BoundConstants.for_radius(R)
     sweeps = []
     t0 = time.perf_counter()
     sweeps.append(verify_upper_bound_sweep(args.m_max).to_dict())

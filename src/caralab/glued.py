@@ -2,7 +2,7 @@
 attachment points, holomorphic test families on the quotient, and
 cross-sheet distance brackets plus non-compactness / completeness probes.
 The probes read their upper bounds from one many-target kernel
-(glued_upper_bounds); glued_upper_bound is its one-target case.  The middle
+(_upper_paths); glued_upper_bound is its one-target case.  The middle
 glue-path leg between two sheets >= 1 depends only on (R, sheet pair) and is
 computed once per process into a bounded, read-only cache.
 
@@ -251,10 +251,8 @@ class AdmissibleFunction:
         raise ValueError(f"unknown admissible-function kind {self.kind!r}")
 
     def evaluate(self, cfg: SpaceConfig, p: SpacePoint) -> complex:
-        if self.kind == "sheet-supported" and p.glue is not None:
-            # Identified point: both representatives evaluate to 0.
-            if p.glue.sheet == self.target_sheet:
-                return 0.0 + 0.0j
+        # A canonical identified point sits on sheet 0, so a sheet-supported
+        # function is 0 there without a case of its own.
         return self.evaluate_on_representative(cfg, p.sheet, p.coord)
 
 
@@ -457,17 +455,10 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     return paths
 
 
-def glued_upper_bounds(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> np.ndarray:
-    """Certified upper bounds from p to each of qs, as one float64 array:
-    bit for bit [glued_upper_bound(cfg, p, q)[0] for q in qs]."""
-    p = recanonicalize(cfg, p)
-    return np.array(_upper_paths(cfg, p, [recanonicalize(cfg, q) for q in qs]).values, dtype=float)
-
-
 def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
     """Certified upper bound for the quotient Mobius distance, with witness.
 
-    The one-target case of the kernel behind glued_upper_bounds.  Same
+    The one-target case of _upper_paths, the probes' kernel.  Same
     sheet: restriction of quotient functions to the sheet dominates by the
     annulus upper bound.  Cross-sheet: triangle paths through attachment
     points, added in the Poincare scale and mapped back with tanh.  The pair

@@ -3,9 +3,9 @@
 Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
-The index sweeps walk their range in fixed slices of _SLICE indices and
-stream the threshold and worst margin through a _SuffixScan, so their peak
-memory does not grow with m_max.
+Every index range is walked in fixed slices of _CHUNK indices (_slices), so
+peak memory does not grow with m_max or n_max, and every threshold and worst
+margin is streamed through a _SuffixScan.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ TWO_OVER_E = 2.0 / math.e
 # verify_one_over_e_products cross-checks it on the swept blocks.
 ONE_OVER_E_N0 = 1
 
-# Indices per slice of a block sum in _block_sums: the slice's few work
-# arrays stay in cache.  At least 2^12, so blocks n <= 12 stay one slice.
+# Indices per slice of every index walk (_slices): a slice's work arrays, up
+# to about ten in the upper and lower sweeps, stay in cache.  At least 2^12,
+# so blocks n <= 12 of a block sum stay one slice.
 _CHUNK = 1 << 13
-
-# Indices per slice of the upper and lower index sweeps: about ten work
-# arrays of this length are alive at once.
-_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,8 @@ class BoundConstants:
 
     @classmethod
     def for_radius(cls, R: float) -> "BoundConstants":
-        if R <= 1.0:
-            raise ValueError(f"R must exceed 1, got {R!r}")
+        if not (math.isfinite(R) and R > 1.0 and math.sqrt(R) > 1.0):
+            raise ValueError(f"R must be finite with sqrt(R) > 1, got {R!r}")
         s = math.sqrt(R)
         K = 2.0 * (s + 1.0) / (s - 1.0) * math.log(R)
         return cls(R=R, K_of_R=K, tau_limit=-(s + 1.0) * math.log(R))
@@ -120,46 +117,22 @@ class _SuffixScan:
                 self.since_bad = min(self.since_bad, np.min(m[after:]))
         self.stop += ok.size
 
-    def threshold(self) -> Optional[int]:
-        """Least parameter p such that ok holds from p through the range end;
-        None if even the final parameter fails ("threshold not yet reached")."""
-        if self.last_bad is None:
-            return self.start
-        return None if self.last_bad == self.stop - 1 else self.last_bad + 1
-
     def result(self) -> Tuple[Optional[int], float]:
-        """The threshold, and the least margin from it on, or over the whole
-        range if no threshold is reached."""
-        threshold = self.threshold()
-        return threshold, float(self.overall if threshold is None else self.since_bad)
-
-
-def _suffix_threshold(values: np.ndarray, start: int) -> Optional[int]:
-    """Least parameter p such that values holds from p through the range end.
-
-    values[i] is the pass/fail flag for parameter start + i.  Returns None if
-    even the final parameter fails ("threshold not yet reached").
-    """
-    scan = _SuffixScan(start)
-    scan.feed(values)
-    return scan.threshold()
-
-
-def _threshold_and_worst(
-    ok: np.ndarray, start: int, *margins: np.ndarray
-) -> Tuple[Optional[int], float]:
-    """The suffix threshold of ok, and the least of the margins from it on,
-    or over the whole range if no threshold is reached."""
-    scan = _SuffixScan(start)
-    scan.feed(ok, *margins)
-    return scan.result()
+        """The least parameter p such that ok holds from p through the range
+        end, and the least margin from p on; if even the final parameter
+        fails ("threshold not yet reached"), None and the least margin over
+        the whole range."""
+        if self.last_bad == self.stop - 1:
+            return None, float(self.overall)
+        threshold = self.start if self.last_bad is None else self.last_bad + 1
+        return threshold, float(self.since_bad)
 
 
 def _slices(start: int, stop: int):
-    """Consecutive float index arrays of at most _SLICE indices covering
+    """Consecutive float index arrays of at most _CHUNK indices covering
     start..stop inclusive."""
-    for lo in range(start, stop + 1, _SLICE):
-        yield np.arange(lo, min(lo + _SLICE, stop + 1), dtype=float)
+    for lo in range(start, stop + 1, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, stop + 1), dtype=float)
 
 
 def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> None:
@@ -178,17 +151,13 @@ def _log0(values: np.ndarray) -> np.ndarray:
 def _block_sums(terms, n_max: int) -> Tuple[float, ...]:
     """Sums of terms(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max.
 
-    Each block is evaluated and summed in slices of _CHUNK indices; a block
-    of at most _CHUNK indices is one slice and one np.sum.
+    Each block is evaluated and summed slice by slice (_slices); a block of
+    at most _CHUNK indices is one slice and one np.sum.
     """
-    sums = []
-    for n in range(1, n_max + 1):
-        stop = 2 ** (n + 1)
-        sums.append(sum(
-            float(np.sum(terms(np.arange(m, min(m + _CHUNK, stop)))))
-            for m in range(2 ** n, stop, _CHUNK)
-        ))
-    return tuple(sums)
+    return tuple(
+        sum(float(np.sum(terms(ms))) for ms in _slices(2 ** n, 2 ** (n + 1) - 1))
+        for n in range(1, n_max + 1)
+    )
 
 
 def _log_moduli(ms: np.ndarray) -> np.ndarray:
@@ -407,15 +376,16 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
         left = 2 ** n * math.log(abs(base)) if base != 0.0 else -math.inf
         right = 2 ** n * math.log(1.0 - 2.0 / 2 ** (n + 1))
         links = (mid_lower - left, mid_upper - mid_lower, right - mid_upper)
-        ok = all(l >= -EPS_ALGEBRAIC for l in links) and base > 0.0
-        ok_rows.append(ok)
         # The n=1 block contains |x(2)| = 0, driving its log-product to
         # -inf; margins are clamped so reports stay finite.
+        ok_rows.append(all(l >= -EPS_ALGEBRAIC for l in links) and base > 0.0)
         margins.append(min(max(l, -1e12) for l in links))
         if n in (1, n_max // 2, n_max):
             samples.append((n, left, right))
 
-    threshold, worst = _threshold_and_worst(np.array(ok_rows), 1, np.array(margins))
+    scan = _SuffixScan(1)
+    scan.feed(ok_rows, margins)
+    threshold, worst = scan.result()
     passed = threshold is not None
     notes = []
     if threshold is not None:
@@ -464,7 +434,9 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
         if n in (1, 2, n_max):
             samples.append((n, math.exp(log_prod) if math.isfinite(log_prod) else 0.0, ONE_OVER_E))
 
-    n0, worst = _threshold_and_worst(np.array(ok_rows), 1, np.array(margins))
+    scan = _SuffixScan(1)
+    scan.feed(ok_rows, margins)
+    n0, worst = scan.result()
     passed = n0 is not None
     notes = f"implied Mobius-scale ball radius 2/e = {TWO_OVER_E:.12g}"
     if n0 is None:

@@ -22,7 +22,6 @@ from caralab import (
     schwarz_pick_check,
 )
 from caralab.annulus import (
-    _deck_shifts,
     _deck_window,
     _bracket,
     _ONE_MINUS,
@@ -83,7 +82,7 @@ def reference_lift_distances(cfg, a, b):
         return -scale * np.angle(w), scale * (np.log(np.abs(w)) - 0.5 * cfg.log_R)
 
     (xa, ya), (xb, yb) = log_lift(a), log_lift(b)
-    shifted = np.stack([xb, xa], -1)[..., None] - _deck_shifts(cfg)
+    shifted = np.stack([xb, xa], -1)[..., None] - _deck_window(cfg.R)
     x = 0.5 * (np.stack([xa, xb], -1)[..., None] - shifted)
     p = 0.5 * (ya - yb)[..., None, None]
     q = 0.5 * (ya + yb)[..., None, None]
@@ -495,24 +494,24 @@ class TestUpperBound:
 
     def test_deck_window_is_derived_from_R(self):
         # K = 1 + ceil(40 / shift) with shift = 2 pi^2 / ln R.
-        assert len(_deck_shifts(AnnulusConfig(R=4.0))) == 2 * 4 + 1
-        assert len(_deck_shifts(AnnulusConfig(R=1e12))) == 2 * 57 + 1
+        assert len(_deck_window(4.0)) == 2 * 4 + 1
+        assert len(_deck_window(1e12)) == 2 * 57 + 1
 
     @pytest.mark.parametrize("R", [1.0 + 1e-6, 4.0, 1e12])
     def test_per_R_tables_are_read_only_and_stable_across_a_cache_clear(self, R):
         shift = 2.0 * math.pi ** 2 / math.log(R)
         K = 1 + math.ceil(40.0 / shift)
-        tables = (_deck_shifts(AnnulusConfig(R=R)), _prime_powers(R))
+        tables = (_deck_window(R), _prime_powers(R))
         assert tables[0].tobytes() == (np.arange(-K, K + 1) * shift).tobytes()
-        # Two configs at one R share the table.
-        assert _deck_shifts(AnnulusConfig(R=R, family_degree=1)) is tables[0]
+        # A second call at one R reads the cached table.
+        assert _deck_window(R) is tables[0]
         for table in (t for t in tables if t is not None):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0
         _deck_window.cache_clear()
         _prime_powers.cache_clear()
-        again = (_deck_shifts(AnnulusConfig(R=R)), _prime_powers(R))
+        again = (_deck_window(R), _prime_powers(R))
         for old, new in zip(tables, again):
             assert (old is None and new is None) or old.tobytes() == new.tobytes()
 

@@ -65,3 +65,27 @@ def test_one_glued_deep_cycle_passes_the_workload_checks():
     errors = [(i, e) for i, br in results.items() for e in work.check(i, br)]
     assert errors == []
     assert work.post_checks(results) == []
+
+
+def test_a_traced_cli_run_spans_every_sweep(capsys):
+    # spans.SWEEP_ELEMENTS reads each sweep's arguments by position, so a
+    # signature change would break a traced benchmark run silently.
+    spans = load_perfbench("spans")
+    rec = spans.Recorder()
+    inst = spans.Instrumentation(rec)
+    try:
+        inst.install()
+        codes = [
+            cli.main(["verify-lemmas", "--R", "4", "--m-max", "2000", "--n-max", "8"]),
+            cli.main(["glued", "distance", "--N", "4", "0:2,0.5", "3:-1.5,1.2"]),
+        ]
+    finally:
+        inst.restore()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    calls = rec.summarize()["calls"]
+    assert {f"sweeps.{fn}": calls.get(f"sweeps.{fn}") for fn in spans.SWEEP_ELEMENTS} == {
+        f"sweeps.{fn}": 1 for fn in spans.SWEEP_ELEMENTS
+    }
+    assert calls["glued.lower"] == calls["glued.upper"] == 1
+    assert rec.counters["sweeps.elements_computed"] > 0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,18 @@ class TestVerifyLemmas:
         code, _, err = run(capsys, ["verify-lemmas", *SWEEP, "--R", "0.5"])
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_radius_fails_before_any_sweep(self, capsys, monkeypatch, value):
+        swept = []
+        monkeypatch.setattr(cli, "verify_upper_bound_sweep", swept.append)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["verify-lemmas", *SWEEP, "--R", "4", f"--R={value}"])
+        assert code == EXIT_USAGE
+        # No sweep, report or numpy warning: one line naming R.
+        message = f"error: R must be finite with sqrt(R) > 1, got {float(value)!r}\n"
+        assert (out, err, caught, swept) == ("", message, [], [])
 
 
 class TestAnnulusDistance:

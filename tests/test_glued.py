@@ -25,7 +25,6 @@ from caralab import (
     glued_distance_bracket,
     glued_lower_bound,
     glued_upper_bound,
-    glued_upper_bounds,
     mobius_distance,
     noncompactness_probe,
     parse_point,
@@ -43,6 +42,7 @@ from caralab.glued import (
     _mid_leg,
     _poincare_upper,
     _sheet_blaschke,
+    _upper_paths,
 )
 from caralab import sweeps
 from caralab.sweeps import (
@@ -187,6 +187,19 @@ class TestAdmissibleFunctions:
         F = AdmissibleFunction.pullback(lambda w: w, "identity")
         with pytest.raises(EvaluationEscapeError):
             evaluate_admissible(cfg, F, canonicalize(cfg, 0, 2.5))
+
+
+class TestIdentifiedPoints:
+    def test_sheet_supported_is_zero_at_its_own_glue_points(self, cfg):
+        # Both representatives canonicalize onto sheet 0, where F is 0.
+        for n in (1, 3, 7):
+            F = AdmissibleFunction.sheet_supported(n)
+            for g in glue_points(cfg, n)[:: max(1, 2 ** n // 8)]:
+                for sheet in (0, n):
+                    p = canonicalize(cfg, sheet, glue=g)
+                    assert p.sheet == 0 and p.glue == g
+                    assert F.evaluate(cfg, p) == 0.0
+                    assert evaluate_admissible(cfg, F, p) == 0.0
 
 
 class TestGlueCoordinateTable:
@@ -595,7 +608,7 @@ KERNEL_RADII = [1.0 + 1e-6, 1.5, 4.0, 10.0, 1e3]
 
 
 class TestUpperKernel:
-    """glued_upper_bounds, the probes' many-target upper-bound kernel."""
+    """_upper_paths, the probes' many-target upper-bound kernel."""
 
     @staticmethod
     def _point(cfg, rng, sheet):
@@ -628,7 +641,7 @@ class TestUpperKernel:
             qs += [canonicalize(cfg, 2, glue=GluePointIndex(5, 3)), glue]
             qs += [canonicalize(cfg, n, srt) for n in range(N + 1)]
             reference = [per_pair_upper_bound(cfg, p, q) for q in qs]
-            assert glued_upper_bounds(cfg, p, qs).tolist() == [v for v, _ in reference]
+            assert _upper_paths(cfg, p, qs).values == [v for v, _ in reference]
             assert [glued_upper_bound(cfg, p, q) for q in qs] == reference
 
     def test_basepoint_pairs_hit_the_cap_both_ways(self, cfg):
@@ -637,13 +650,12 @@ class TestUpperKernel:
         probes = [canonicalize(cfg, n, srt) for n in range(1, cfg.sheets + 1)]
         reference = [per_pair_upper_bound(cfg, base, pt) for pt in probes]
         assert sum(w == "2/e basepoint cap" for _, w in reference) >= 5
-        assert glued_upper_bounds(cfg, base, probes).tolist() == [v for v, _ in reference]
+        assert _upper_paths(cfg, base, probes).values == [v for v, _ in reference]
         for pt, (v, _) in zip(probes, reference):
-            assert glued_upper_bounds(cfg, pt, [base]).tolist() == [v]
+            assert _upper_paths(cfg, pt, [base]).values == [v]
 
-    def test_an_empty_target_list_gives_an_empty_array(self, cfg):
-        out = glued_upper_bounds(cfg, canonicalize(cfg, 3, 2.0), [])
-        assert out.shape == (0,) and out.dtype == np.float64
+    def test_an_empty_target_list_gives_no_bounds(self, cfg):
+        assert _upper_paths(cfg, canonicalize(cfg, 3, 2.0), []) == ([], [], [])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("centre_sheet", [0, 3])

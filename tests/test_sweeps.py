@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,15 +19,13 @@ from caralab import (
 from caralab.sweeps import (
     EPS_ALGEBRAIC,
     ONE_OVER_E_N0,
-    _SLICE,
+    _CHUNK,
     _SuffixScan,
     _block_log_moduli,
     _block_sums,
     _log0,
     _log_moduli,
     _quotient_and_tau,
-    _suffix_threshold,
-    _threshold_and_worst,
     lower_bound_quotient,
     tau,
 )
@@ -49,27 +48,34 @@ class TestBoundConstants:
         with pytest.raises(ValueError):
             BoundConstants.for_radius(1.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0)])
+    def test_rejects_a_radius_without_finite_constants(self, R):
+        message = f"R must be finite with sqrt(R) > 1, got {R!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BoundConstants.for_radius(R)
+
 
 class TestSuffixThreshold:
+    # One slice: the scan as the chain and 1/e sweeps use it.
     def test_all_pass_gives_start(self):
-        assert _suffix_threshold(np.array([True, True, True]), 5) == 5
+        assert scan_in_slices(np.array([True, True, True]), 5, [])[0] == 5
 
     def test_last_violation_plus_one(self):
-        assert _suffix_threshold(np.array([True, False, True, True]), 2) == 4
+        assert scan_in_slices(np.array([True, False, True, True]), 2, [])[0] == 4
 
     def test_open_range_gives_none(self):
-        assert _suffix_threshold(np.array([True, True, False]), 2) is None
+        assert scan_in_slices(np.array([True, True, False]), 2, [])[0] is None
 
     def test_worst_margin_counts_from_the_threshold_on(self):
         ok = np.array([True, False, True, True])
         lin = np.array([-5.0, -1.0, 0.25, 0.5])
         quad = np.array([-7.0, -2.0, 0.75, 0.125])
-        assert _threshold_and_worst(ok, 2, lin) == (4, 0.25)
-        assert _threshold_and_worst(ok, 2, lin, quad) == (4, 0.125)
+        assert scan_in_slices(ok, 2, [], lin) == (4, 0.25)
+        assert scan_in_slices(ok, 2, [], lin, quad) == (4, 0.125)
 
     def test_worst_margin_spans_an_open_range(self):
         ok = np.array([True, True, False])
-        assert _threshold_and_worst(ok, 2, np.array([0.5, -3.0, -1.0])) == (None, -3.0)
+        assert scan_in_slices(ok, 2, [], np.array([0.5, -3.0, -1.0])) == (None, -3.0)
 
 
 def whole_array_threshold_and_worst(ok, start, *margins):
@@ -204,7 +210,7 @@ def whole_array_lower_sweep(R, m_max):
     }
 
 
-SLICE_EDGES = [_SLICE + 1, _SLICE + 2, 2 * _SLICE + 2]
+SLICE_EDGES = [_CHUNK + 1, 2 * _CHUNK + 1, 2 * _CHUNK + 2, 4 * _CHUNK + 2]
 
 
 class TestSliceBoundaries:
@@ -426,7 +432,7 @@ class TestBlockLogModuli:
         ids=["moduli", "lower-quotient"],
     )
     def test_sliced_blocks_match_whole_block_sums(self, f):
-        # Blocks past 2^12 indices are summed slice by slice.
+        # Blocks of more than _CHUNK = 2^13 indices are summed slice by slice.
         for n, block_sum in enumerate(_block_sums(lambda ms: _log0(f(ms)), 20), start=1):
             if n > 12:
                 whole = float(np.sum(np.log(f(np.arange(2 ** n, 2 ** (n + 1))))))
