@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -260,7 +261,13 @@ def _command(subs, name: str, func, summary: str, keys: tuple, **changed):
     return sub
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on the first call.
+
+    Parsing leaves it unchanged: every option's default is immutable, and
+    each parse fills a fresh namespace, so every call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="caralab",
         description="Certified Mobius-distance brackets on the annulus and its glued quotient.",

@@ -1,14 +1,14 @@
 """Exact unit-disk geometry: Mobius/Poincare distances and Blaschke products.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently.
+concurrently.  A Blaschke product built from a function fills in its zero
+chunks as they are first read, with the same bits whichever call builds them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,8 +20,9 @@ EPS_BOUNDARY = 1e-9
 # open-interval contract |d| < 1 survives rounding for near-boundary pairs.
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 
-# Zeros per chunk in BlaschkeProduct.__call__ and log_abs_at: their few work
-# arrays of this many values stay in cache.
+# Zeros per chunk of a BlaschkeProduct: the unit a built product makes at a
+# time and __call__ and log_abs_at walk, whose few work arrays of this many
+# values stay in cache.
 _CHUNK = 1 << 13
 
 
@@ -62,28 +63,60 @@ def poincare_distance(a: complex, b: complex) -> float:
     return _atanh(mobius_distance(a, b))
 
 
-@dataclass(frozen=True, eq=False)
-class BlaschkeProduct:
-    """Finite Blaschke product with the given zeros, all strictly inside D.
+def _checked_zeros(zs: np.ndarray) -> np.ndarray:
+    """zs, made read-only, once every zero keeps EPS_BOUNDARY from the circle."""
+    if zs.size and np.abs(zs).max() > 1.0 - EPS_BOUNDARY:
+        raise DiskDomainError(
+            f"Blaschke zero too close to the unit circle: |z| = {float(np.abs(zs).max())!r}"
+        )
+    zs.setflags(write=False)
+    return zs
 
-    The zeros are stored once, as a read-only array: float64 when every zero
-    is given as a real number, complex otherwise.
+
+class BlaschkeProduct:
+    """Finite Blaschke product with zeros strictly inside D, held in
+    read-only chunks of _CHUNK zeros: float64 when every zero is real,
+    complex otherwise.
+
+    zeros is either the zeros themselves, copied, checked and split at
+    construction, or a function build(start, stop) returning zeros
+    start .. stop - 1 as such an array, with degree the number of zeros.
+    A built product makes each chunk on its first read, checks it and keeps
+    it, so a caller that reads one chunk builds one.  Its zeros must not
+    decrease in modulus: the last one, the nearest to the circle, is built
+    and checked at construction, so a product too close to the circle fails
+    there, as one with given zeros does.  Threads racing on one chunk build
+    the same bits.
     """
 
-    zeros: np.ndarray
+    __slots__ = ("degree", "_build", "_chunks")
 
-    def __post_init__(self):
-        zs = np.array(self.zeros, dtype=float if np.isrealobj(self.zeros) else complex)
-        if zs.size and np.abs(zs).max() > 1.0 - EPS_BOUNDARY:
-            raise DiskDomainError(
-                f"Blaschke zero too close to the unit circle: |z| = {float(np.abs(zs).max())!r}"
-            )
-        zs.setflags(write=False)
-        object.__setattr__(self, "zeros", zs)
+    def __init__(
+        self,
+        zeros: Union[Sequence, np.ndarray, Callable[[int, int], np.ndarray]],
+        degree: Optional[int] = None,
+    ):
+        if callable(zeros):
+            self.degree = degree
+            self._build = zeros
+            self._chunks: Dict[int, np.ndarray] = {}
+            if degree:
+                _checked_zeros(zeros(degree - 1, degree))
+            return
+        zs = _checked_zeros(np.array(zeros, dtype=float if np.isrealobj(zeros) else complex))
+        self.degree = len(zs)
+        self._build = None
+        self._chunks = {start: zs[start:start + _CHUNK] for start in range(0, len(zs), _CHUNK)}
 
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
+    def zero_chunks(self) -> Iterator[np.ndarray]:
+        """The zeros in order, in chunks of _CHUNK (the last may be shorter);
+        a built product makes each chunk here, on its first read."""
+        for start in range(0, self.degree, _CHUNK):
+            chunk = self._chunks.get(start)
+            if chunk is None:
+                built = self._build(start, min(start + _CHUNK, self.degree))
+                chunk = self._chunks[start] = _checked_zeros(built)
+            yield chunk
 
     def __call__(self, z: complex) -> complex:
         z = _as_disk_point(z)
@@ -95,13 +128,12 @@ class BlaschkeProduct:
         # product enters each chunk's first factor, so the factors multiply
         # in one left-to-right order however the zeros are split.
         value = 1.0 + 0.0j
-        for start in range(0, self.degree, _CHUNK):
-            a = self.zeros[start:start + _CHUNK]
+        for k, a in enumerate(self.zero_chunks()):
             num = z - a
             den = (a if a.dtype.kind == "f" else np.conj(a)) * z
             np.subtract(1.0, den, out=den)
             num /= den
-            if start:
+            if k:
                 num[0] *= value
             value = complex(np.prod(num))
         return value
@@ -130,8 +162,7 @@ class BlaschkeProduct:
         r = abs(z)
         neg_c = -(1.0 - r) * (1.0 + r)  # -(1 - |z|^2)
         total = 0.0
-        for start in range(0, self.degree, _CHUNK):
-            a = self.zeros[start:start + _CHUNK]
+        for a in self.zero_chunks():
             if a.dtype.kind == "f":
                 # 1 - a x as (1 - a) + a (1 - x): for 0.5 <= a, x < 1 both
                 # brackets are exact, so it keeps its digits near the circle.

@@ -10,7 +10,17 @@ Sheet n (n >= 1) carries 2^n attachment points R^(1 - 1/j),
 j = 2^n .. 2^(n+1) - 1, each identified with the same coordinate on sheet 0.
 Identification is decided by exact integer indices, never by float equality:
 the attachment coordinates crowd together as n grows and float keys would
-mis-glue.
+mis-glue.  No table of them is built: glue points, exits and the zeros of a
+sheet's product each compute the coordinates they read (_glue_values), the
+zeros a chunk at a time as the log sums reach them.
+
+Brackets do not depend on the truncation depth N.  Every lower-bound map
+extends to the whole space X by 0 past sheet N: a pullback is the same map
+on every sheet, and a sheet-supported map is 0 off its own sheet, so both
+stay holomorphic on X.  Every glue path runs through the sheets of its two
+ends and sheet 0, so it lies in X.  A bracket for points on sheets <= N thus
+bounds their distance in X, and is the same at every N that holds them; N
+only limits the sheets a point may name and the probes visit.
 """
 
 from __future__ import annotations
@@ -86,7 +96,7 @@ class GluePointIndex:
             )
 
     def coordinate(self, R: float) -> float:
-        return float(_glue_coordinates(R, self.sheet)[self.slot - 1])
+        return _glue_coordinate(R, 2 ** self.sheet + self.slot - 1)
 
 
 @dataclass(frozen=True)
@@ -185,27 +195,42 @@ def parse_point(cfg: SpaceConfig, text: str) -> SpacePoint:
 # Admissible holomorphic test functions on the quotient.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _glue_coordinates(R: float, n: int) -> np.ndarray:
-    """The attachment coordinates R^(1 - 1/j), j = 2^n .. 2^(n+1) - 1, of
-    sheet n as one read-only float64 array; slot m sits at index m - 1.
+def _glue_values(R: float, j):
+    """The attachment coordinates R^(1 - 1/j) of an integer index j or an
+    integer array of them; sheet n holds j = 2^n .. 2^(n+1) - 1, slot m at
+    j = 2^n + m - 1.
 
-    Glue points, sheet-product zeros and glue-path exits all read this table,
-    so they agree to the bit (numpy's pow may differ from R ** (1 - 1/j) by
-    1 ulp).
+    Glue points, sheet-product zeros and glue-path exits all compute their
+    coordinates here, each only the indices it reads.  numpy's pow gives an
+    entry the same bits however many entries one call computes, a scalar
+    call included, so they agree to the bit (it may differ from
+    R ** (1 - 1/j) by 1 ulp).
     """
-    j = np.arange(2 ** n, 2 ** (n + 1))
-    table = np.power(R, 1.0 - 1.0 / j)
-    table.setflags(write=False)
-    return table
+    return np.power(R, 1.0 - 1.0 / j)
+
+
+@lru_cache(maxsize=4096)
+def _glue_coordinate(R: float, j: int) -> float:
+    # Every recanonicalization and exit witness reads a glue point's
+    # coordinate again; the cache keeps a reread a lookup.
+    return float(_glue_values(R, j))
+
+
+def _sheet_zeros(R: float, target: int, start: int, stop: int) -> np.ndarray:
+    """Zeros start .. stop - 1 of the target sheet's product: its glue
+    coordinates divided by R, the same division an evaluation point takes,
+    so the vanishing at glue points is float-exact."""
+    first = 2 ** target
+    return _glue_values(R, np.arange(first + start, first + stop)) / R
 
 
 @lru_cache(maxsize=128)
 def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
-    # Zeros are the glue coordinates of the target sheet divided by R, the
-    # same division an evaluation point takes, so the vanishing at glue
-    # points is float-exact.
-    return BlaschkeProduct(_glue_coordinates(R, target) / R)
+    # Built one chunk of zeros at a time, as the sums read them; the zeros
+    # increase in modulus, as a built product requires.
+    return BlaschkeProduct(
+        lambda start, stop: _sheet_zeros(R, target, start, stop), 2 ** target
+    )
 
 
 @dataclass(frozen=True)
@@ -332,15 +357,19 @@ def _exit_indices(sheet: int) -> np.ndarray:
 
 
 def _exits(cfg: SpaceConfig, p: SpacePoint) -> np.ndarray:
-    # Hops to sheet 0 happen at the attachment points of p's sheet, read
-    # straight from its glue table; a point already on sheet 0 exits at itself.
+    # Hops to sheet 0 happen at the attachment points of p's sheet (the
+    # exit slots alone are computed); a point already on sheet 0 exits at itself.
     if p.sheet == 0:
         return np.array([p.coord])
     return _sheet_exits(cfg.annulus.R, p.sheet)
 
 
+@lru_cache(maxsize=128)
 def _sheet_exits(R: float, sheet: int) -> np.ndarray:
-    return _glue_coordinates(R, sheet)[_exit_indices(sheet)]
+    # At most MAX_EXITS float64 per (R, sheet).
+    exits = _glue_values(R, 2 ** sheet + _exit_indices(sheet))
+    exits.setflags(write=False)
+    return exits
 
 
 def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:

@@ -41,6 +41,13 @@ ONE_OVER_E_N0 = 1
 _CHUNK = 1 << 13
 
 
+def _radius_name(R: float) -> str:
+    """R as sweep names show it: in :g form when that reads back as R, so
+    that distinct radii never share a name, and as repr(R) otherwise."""
+    text = f"{R:g}"
+    return text if float(text) == R else repr(R)
+
+
 @dataclass(frozen=True)
 class BoundConstants:
     """The R-dependent constants governing the lower-bound inequality."""
@@ -128,11 +135,22 @@ class _SuffixScan:
         return threshold, float(self.since_bad)
 
 
+# The offsets 0 .. _CHUNK - 1 that each slice of _slices adds its start to.
+_BASE = np.arange(_CHUNK, dtype=float)
+
+
 def _slices(start: int, stop: int):
     """Consecutive float index arrays of at most _CHUNK indices covering
-    start..stop inclusive."""
+    start..stop inclusive.
+
+    Every slice is a view of one buffer per walk, which the next slice
+    overwrites: copy a slice to keep it past the next step.  The indices
+    are exact integers, as np.arange gives them.
+    """
+    buf = np.empty(_CHUNK)
     for lo in range(start, stop + 1, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, stop + 1), dtype=float)
+        k = min(_CHUNK, stop + 1 - lo)
+        yield np.add(_BASE[:k], lo, out=buf[:k])
 
 
 def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> None:
@@ -144,7 +162,10 @@ def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
 
 
 def _log0(values: np.ndarray) -> np.ndarray:
-    """Elementwise log, with -inf wherever a value is not positive."""
+    """Elementwise log, with -inf wherever a value is not positive.  When
+    every value is positive the log overwrites values, so pass a temporary."""
+    if values.min() > 0.0:
+        return np.log(values, out=values)
     return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
 
 
@@ -336,7 +357,7 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
 
     samples = [found[m] for m in picks if m in found]
     return SweepResult(
-        parameter_name=f"m2(R={R:g})",
+        parameter_name=f"m2(R={_radius_name(R)})",
         range=(3, m_max),
         threshold_found=m2,
         worst_margin=worst,
@@ -403,7 +424,7 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
         notes.append("threshold not yet reached in range")
 
     return SweepResult(
-        parameter_name=f"chain_n(R={R:g})",
+        parameter_name=f"chain_n(R={_radius_name(R)})",
         range=(1, n_max),
         threshold_found=threshold,
         worst_margin=worst,
@@ -442,7 +463,7 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
     if n0 is None:
         notes += "; threshold not yet reached in range"
     return SweepResult(
-        parameter_name=f"n0(R={R:g})",
+        parameter_name=f"n0(R={_radius_name(R)})",
         range=(1, n_max),
         threshold_found=n0,
         worst_margin=worst,

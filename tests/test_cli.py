@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from caralab import (
     glued_distance_bracket,
     parse_point,
 )
+from caralab import glued
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
 from caralab.sweeps import _block_log_moduli
 
@@ -69,6 +71,16 @@ class TestVerifyLemmas:
         assert code == EXIT_OK
         names = [s["parameter_name"] for s in json.loads(out)["sweeps"]]
         assert "m2(R=2)" in names and "m2(R=10)" in names
+
+    @pytest.mark.parametrize("radii, names", [
+        (["1.0000000000000004"], ["m2(R=1.0000000000000004)"]),
+        (["4", "4.0000001"], ["m2(R=4)", "m2(R=4.0000001)"]),
+    ])
+    def test_distinct_radii_get_distinct_names(self, capsys, radii, names):
+        argv = ["verify-lemmas", *SWEEP, *(x for R in radii for x in ("--R", R))]
+        _, out, _ = run(capsys, argv)
+        got = [s["parameter_name"] for s in json.loads(out)["sweeps"]]
+        assert [n for n in got if n.startswith("m2")] == names
 
     def test_block_table_is_computed_once(self, capsys):
         # Both block sweeps at every radius read one R-free table.
@@ -399,6 +411,37 @@ class TestInternalErrors:
         assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+class TestSharedParser:
+    """main parses every command line with one parser per process, and no
+    parse leaves state behind for the next."""
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["verify-lemmas", *SWEEP], COMMANDS["glued distance"][0],
+                     ["verify-lemmas", *SWEEP, "--R", "2"]):
+            assert run(capsys, argv)[0] == EXIT_OK
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_repeated_radius_does_not_carry_over(self, capsys):
+        configs = []
+        for extra in (["--R", "1.5", "--R", "10"], []):
+            code, out, _ = run(capsys, ["verify-lemmas", *SWEEP, *extra])
+            assert code == EXIT_OK
+            configs.append(json.loads(out)["config"]["R"])
+        assert configs == [[1.5, 10.0], [4.0]]
+
+    def test_a_band_sheet_subset_does_not_carry_over(self, capsys):
+        argv = ["glued", "ball", *BOUND, "--N", "3", "0:2,0", "--band", "1.5,3.0",
+                "--samples", "20"]
+        sheets = []
+        for extra in (["--band-sheets", "0"], []):
+            code, out, _ = run(capsys, [*argv, *extra])
+            assert code == EXIT_OK
+            sheets.append(json.loads(out)["ball"]["band_sheets"])
+        assert sheets == [[0], [0, 1, 2, 3]]
+
+
 class TestColdStart:
     ARGV = ["glued", "distance", "--N", "20", "--family-degree", "2", "--grid-density", "2",
             "17:2,0.5", "20:-1.5,1.2"]
@@ -417,6 +460,25 @@ class TestColdStart:
         code, warm, _ = run(capsys, self.ARGV)
         assert code == EXIT_OK
         assert cold[0] == cold[1] == warm.encode()
+
+    @pytest.mark.parametrize("p, most", [("17:2,0.5", {17: 1, 20: 4}), ("glue:20,5", {20: 1})])
+    def test_a_glued_distance_builds_few_zero_chunks(self, capsys, monkeypatch, p, most):
+        # Regression guard for the chunk-lazy sheet products: with cold
+        # caches, each product builds only the chunks its sum reads (sheet 20
+        # has 128), plus its last zero, checked at construction.
+        built = Counter()
+        original = glued._sheet_zeros
+
+        def counting(R, target, start, stop):
+            built[target] += 1
+            return original(R, target, start, stop)
+
+        glued._sheet_blaschke.cache_clear()
+        monkeypatch.setattr(glued, "_sheet_zeros", counting)
+        code, _, _ = run(capsys, ["glued", "distance", "--N", "20", p, "20:-1.5,1.2"])
+        assert code == EXIT_OK
+        assert set(built) <= set(most)
+        assert all(built[t] <= n + 1 for t, n in most.items()), built
 
     def test_a_glued_command_leaves_numpy_ma_unimported(self):
         # numpy.ma costs over 10 ms to import, and nothing here needs it.

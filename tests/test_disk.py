@@ -39,6 +39,11 @@ REFERENCE_CASES = [
 ]
 
 
+def all_zeros(B: BlaschkeProduct) -> list:
+    """Every zero of B as a Python complex, chunk by chunk."""
+    return [complex(a) for chunk in B.zero_chunks() for a in chunk.tolist()]
+
+
 class TestMobiusDistance:
     def test_center_case_reduces_to_modulus(self):
         assert mobius_distance(0.0, complex(0.3, 0.4)) == pytest.approx(0.5, abs=1e-15)
@@ -122,6 +127,35 @@ class TestBlaschkeProduct:
         with pytest.raises(DiskDomainError):
             BlaschkeProduct(zeros=(1.0 - 1e-12,))
 
+    @pytest.mark.parametrize("phase", [1.0, cmath.rect(1.0, 0.7)], ids=["real", "complex"])
+    def test_built_zeros_match_given_zeros_bit_for_bit(self, phase):
+        # Three chunks, the last one short, built on first read.
+        zeros = np.linspace(0.1, 0.99, 2 * _CHUNK + 5) * phase
+        built = []
+
+        def build(start, stop):
+            built.append((start, stop))
+            return zeros[start:stop].copy()
+
+        given, lazy = BlaschkeProduct(zeros), BlaschkeProduct(build, len(zeros))
+        assert lazy.degree == given.degree == len(zeros)
+        for z in (0.3 - 0.4j, cmath.rect(0.97, 2.0), complex(zeros[_CHUNK + 3]) + 1e-9):
+            assert lazy(z) == given(z)
+            assert lazy.log_abs_at(z).hex() == given.log_abs_at(z).hex()
+        chunks = list(lazy.zero_chunks())
+        assert np.concatenate(chunks).tobytes() == zeros.tobytes()
+        assert all(not c.flags.writeable for c in chunks)
+        assert built == [(len(zeros) - 1, len(zeros)), (0, _CHUNK), (_CHUNK, 2 * _CHUNK),
+                         (2 * _CHUNK, len(zeros))]
+
+    def test_a_built_product_fails_at_construction_as_a_given_one(self):
+        zeros = np.linspace(0.5, 1.0 - 1e-12, 3 * _CHUNK)
+        with pytest.raises(DiskDomainError) as given:
+            BlaschkeProduct(zeros)
+        with pytest.raises(DiskDomainError) as built:
+            BlaschkeProduct(lambda start, stop: zeros[start:stop].copy(), len(zeros))
+        assert str(built.value) == str(given.value)
+
     def test_rejects_evaluation_outside(self):
         B = BlaschkeProduct(zeros=(0.2,))
         with pytest.raises(DiskDomainError):
@@ -156,7 +190,7 @@ class TestBlaschkeProduct:
                 near = (x - ar) ** 2 + (y - ai) ** 2
                 return mpmath.log(near / ((1 - ar * x - ai * y) ** 2 + (ar * y - ai * x) ** 2))
 
-            exact = mpmath.fsum(map(log_factor_sq, B.zeros.astype(complex).tolist())) / 2
+            exact = mpmath.fsum(map(log_factor_sq, all_zeros(B))) / 2
             assert abs((B.log_abs_at(z) - exact) / exact) <= 1e-13
 
     @pytest.mark.parametrize("zeros, z", REFERENCE_CASES)
@@ -169,7 +203,7 @@ class TestBlaschkeProduct:
             w = mpmath.mpc(z.real, z.imag)
             exact = mpmath.fprod(
                 (w - a) / (1 - mpmath.conj(a) * w)
-                for a in map(mpmath.mpc, B.zeros.astype(complex).tolist())
+                for a in map(mpmath.mpc, all_zeros(B))
             )
             assert abs(B(z) - exact) <= 1e-13 * abs(exact)
 
@@ -189,18 +223,19 @@ class TestEarlyStop:
     @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
     def test_stops_only_below_the_level(self, R, sheet):
         B = _sheet_blaschke(R, sheet)
+        first_chunk, *_, last_chunk = B.zero_chunks()
         rng = np.random.default_rng(sheet)
         # Interior points, the sqrt(R) probe, points next to the outer circle
         # and next to a zero (the near-factor branch), and zeros in the first
         # and in a later chunk (-inf).
         zs = [*random_disk_points(rng, 3, max_radius=0.9), 1.0 / math.sqrt(R),
               cmath.rect(0.999, 0.01), complex(0.99999, 0.0),
-              complex(B.zeros[100], 1e-7), B.zeros[0], B.zeros[-1]]
+              complex(first_chunk[100], 1e-7), first_chunk[0], last_chunk[-1]]
         stopped = 0
         for z in zs:
             full = B.log_abs_at(z)
             # Any level above the first chunk's total stops right after it.
-            first = BlaschkeProduct(B.zeros[:_CHUNK]).log_abs_at(z)
+            first = BlaschkeProduct(first_chunk).log_abs_at(z)
             assert B.log_abs_at(z, math.inf).hex() == first.hex()
             levels = [-math.inf, 0.0, math.inf]
             if math.isfinite(full):

@@ -31,17 +31,17 @@ from caralab import (
     recanonicalize,
 )
 from caralab import glued as glued_module
-from caralab.disk import DiskDomainError, _ONE_MINUS, _atanh
+from caralab.disk import _CHUNK, DiskDomainError, _ONE_MINUS, _atanh
 from caralab.glued import (
     MAX_EXITS,
     MID_LEG_CACHE_SIZE,
     _exit_indices,
     _exit_point,
     _exits,
-    _glue_coordinates,
     _mid_leg,
     _poincare_upper,
     _sheet_blaschke,
+    _sheet_exits,
     _upper_paths,
 )
 from caralab import sweeps
@@ -151,7 +151,7 @@ class TestAdmissibleFunctions:
 
     def test_sheet_supported_vanishes_exactly_at_glue(self, cfg):
         for n in range(1, 11):
-            assert _sheet_blaschke(cfg.annulus.R, n).zeros.dtype == np.float64
+            assert all(c.dtype == np.float64 for c in _sheet_blaschke(cfg.annulus.R, n).zero_chunks())
             F = AdmissibleFunction.sheet_supported(n)
             for g in glue_points(cfg, n):
                 c = g.coordinate(cfg.annulus.R)
@@ -202,40 +202,84 @@ class TestIdentifiedPoints:
                     assert evaluate_admissible(cfg, F, p) == 0.0
 
 
+def whole_glue_table(R: float, n: int) -> np.ndarray:
+    """Sheet n's 2^n glue coordinates in one numpy pow call: the reference
+    every lazily computed coordinate, zero and exit must match bit for bit."""
+    return np.power(R, 1 - 1 / np.arange(2 ** n, 2 ** (n + 1)))
+
+
 class TestGlueCoordinateTable:
-    """One read-only table per (R, sheet) feeds glue points, sheet-product
-    zeros and glue-path exits."""
+    """Glue points, sheet-product zeros and glue-path exits each compute only
+    the coordinates they read, with the bits of one whole-table pow call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_products(self):
+        # Deep products keep every chunk they build; leave none behind.
+        _sheet_blaschke.cache_clear()
+        yield
+        _sheet_blaschke.cache_clear()
+
+    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    def test_exits_and_coordinates_match_the_whole_table(self, R):
+        for n in range(1, 21):
+            table = whole_glue_table(R, n)
+            zeros = table / R
+            assert _sheet_exits(R, n).tobytes() == table[_exit_indices(n)].tobytes()
+            step = 1 if n <= 16 else 97  # every slot through sheet 16
+            for m in range(1, 2 ** n + 1, step):
+                x = GluePointIndex(n, m).coordinate(R)
+                assert x == table[m - 1]
+                # w/R at a glue point is bitwise a zero, so F_n vanishes there.
+                assert x / R == zeros[m - 1]
 
     @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
     def test_coordinates_are_within_one_ulp_of_pow(self, R):
         # numpy's pow may round R^(1 - 1/j) the other way from Python's.
         for n in range(1, 21):
-            step = 1 if n <= 16 else 97  # every slot through sheet 16
-            js = range(2 ** n, 2 ** (n + 1), step)
-            exact = np.array([R ** (1.0 - 1.0 / j) for j in js])
-            coords = _glue_coordinates(R, n)[::step]
-            assert np.all(np.abs(coords - exact) <= np.spacing(exact))
-            last = GluePointIndex(n, (len(js) - 1) * step + 1)
-            assert last.coordinate(R) == coords[-1]
+            step = 1 if n <= 16 else 97
+            for m in range(1, 2 ** n + 1, step):
+                exact = R ** (1.0 - 1.0 / (2 ** n + m - 1))
+                assert abs(GluePointIndex(n, m).coordinate(R) - exact) <= np.spacing(exact)
 
     def test_tables_are_read_only_float64(self):
         for n in (1, 9, 16):
-            table = _glue_coordinates(4.0, n)
-            assert table.dtype == np.float64 and table.shape == (2 ** n,)
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+            for table in (*_sheet_blaschke(4.0, n).zero_chunks(), _sheet_exits(4.0, n)):
+                assert table.dtype == np.float64 and not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
 
     def test_tables_are_bitwise_stable_across_a_cache_clear(self):
         keys = [(R, n) for R in (1.5, 4.0, 10.0) for n in (1, 7, 12, 16)]
-        before = {key: _glue_coordinates(*key).tobytes() for key in keys}
-        _glue_coordinates.cache_clear()
-        assert {key: _glue_coordinates(*key).tobytes() for key in keys} == before
+
+        def tables():
+            return {key: (b"".join(c.tobytes() for c in _sheet_blaschke(*key).zero_chunks()),
+                          _sheet_exits(*key).tobytes()) for key in keys}
+
+        before = tables()
+        _sheet_blaschke.cache_clear()
+        _sheet_exits.cache_clear()
+        assert tables() == before
 
     def test_sheet_product_zeros_are_the_table_over_R(self):
-        for R in (1.5, 4.0):
-            for n in (3, 12):
-                assert np.array_equal(_sheet_blaschke(R, n).zeros, _glue_coordinates(R, n) / R)
+        for R in (1.5, 4.0, 10.0):
+            for n in range(1, 21):
+                chunks = list(_sheet_blaschke(R, n).zero_chunks())
+                assert [len(c) for c in chunks[:-1]] == [_CHUNK] * (len(chunks) - 1)
+                assert np.concatenate(chunks).tobytes() == (whole_glue_table(R, n) / R).tobytes()
+            _sheet_blaschke.cache_clear()
+
+    def test_a_product_builds_only_the_chunks_it_reads(self, monkeypatch):
+        built = []
+        original = glued_module._sheet_zeros
+        monkeypatch.setattr(glued_module, "_sheet_zeros",
+                            lambda *args: built.append(args[1:]) or original(*args))
+        B = _sheet_blaschke(4.0, 20)
+        last = 2 ** 20
+        assert built == [(20, last - 1, last)]  # the last zero, checked at construction
+        B.log_abs_at(0.5, stop=math.inf)  # stops after the first chunk
+        assert built[1:] == [(20, 0, _CHUNK)]
+        B.log_abs_at(0.5, stop=math.inf)
+        assert len(built) == 2  # built chunks stay on the product
 
     @pytest.mark.parametrize("sheet", [1, 3, 5, 6, 12])
     def test_exits_match_their_canonical_glue_points(self, cfg, sheet):
@@ -787,6 +831,37 @@ class TestMidLegCache:
                      (canonicalize(cfg, 0, glue=GluePointIndex(3, 1)), canonicalize(cfg, 5, 2.0))]:
             assert glued_upper_bound(cfg, p, q) == per_pair_upper_bound(cfg, p, q)
         assert _mid_leg.cache_info().currsize == 0
+
+
+class TestTruncationIndependence:
+    """A bracket for points on sheets <= n reads nothing of the truncation
+    depth N >= n: every lower-bound map extends to the whole space by 0 past
+    sheet N, and every glue path lies in it, so the bracket is one for the
+    whole space, the same at every N."""
+
+    @pytest.mark.parametrize("n", [3, 8, 12, 16])
+    def test_brackets_are_bitwise_equal_at_every_depth(self, n):
+        R = 4.0
+        rng = np.random.default_rng(n)
+        sheets = rng.integers(0, n + 1, size=(6, 2))
+        sheets[0] = (n, n)
+        sheets[1] = (0, n)
+        z = random_annulus_points(rng, R, 2 * len(sheets)).reshape(-1, 2)
+        glue = GluePointIndex(n, int(rng.integers(1, 2 ** n + 1)))
+        seen = []
+        for N in sorted({n, 12, 20} - set(range(n))):
+            _sheet_blaschke.cache_clear()
+            _sheet_exits.cache_clear()
+            cfg = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=N)
+            pairs = [(canonicalize(cfg, int(s1), z1), canonicalize(cfg, int(s2), z2))
+                     for (s1, s2), (z1, z2) in zip(sheets, z)]
+            pairs.append((canonicalize(cfg, 0, glue=glue), pairs[0][1]))
+            brackets = [repr(glued_distance_bracket(cfg, p, q)) for p, q in pairs]
+            # The tables the brackets read depend on (R, sheet) alone.
+            tables = [(next(_sheet_blaschke(R, t).zero_chunks()).tobytes(),
+                       _sheet_exits(R, t).tobytes()) for t in range(1, n + 1)]
+            seen.append((brackets, tables))
+        assert len(seen) >= 2 and all(other == seen[0] for other in seen[1:])
 
 
 class TestBracketOrder:

@@ -26,6 +26,7 @@ from caralab.sweeps import (
     _log0,
     _log_moduli,
     _quotient_and_tau,
+    _slices,
     lower_bound_quotient,
     tau,
 )
@@ -232,6 +233,37 @@ class TestSliceBoundaries:
         q, t = _quotient_and_tau(R, ms)
         assert q.tobytes() == lower_bound_quotient(R, ms).tobytes()
         assert t.tobytes() == tau(R, ms).tobytes()
+
+
+class TestSliceWalk:
+    @pytest.mark.parametrize(
+        "start, stop", [(2, 2), (3, _CHUNK + 2), (2, 2 * _CHUNK + 1), (5, 4 * _CHUNK + 2)]
+    )
+    def test_slice_copies_concatenate_to_the_index_range(self, start, stop):
+        slices = [ms.copy() for ms in _slices(start, stop)]
+        assert all(len(ms) == _CHUNK for ms in slices[:-1])
+        assert np.concatenate(slices).tobytes() == np.arange(start, stop + 1, dtype=float).tobytes()
+
+    def test_each_slice_overwrites_the_last(self):
+        walk = _slices(2, 3 * _CHUNK)
+        first = next(walk)
+        kept = first.copy()
+        second = next(walk)
+        assert np.shares_memory(first, second)
+        assert first[0] == second[0] == kept[0] + _CHUNK
+
+
+class TestSweepNames:
+    # :g names stay where they read back as R, so reports at 1.5, 4 and 10
+    # keep their names; radii :g would merge get repr names.
+    @pytest.mark.parametrize("R, name", [
+        (1.5, "1.5"), (4.0, "4"), (10.0, "10"), (1e6, "1e+06"),
+        (1.0000000000000004, "1.0000000000000004"), (4.0000001, "4.0000001"),
+    ])
+    def test_radius_names(self, R, name):
+        assert verify_lower_bound_sweep(R, 100).parameter_name == f"m2(R={name})"
+        assert verify_final_chain(R, 3).parameter_name == f"chain_n(R={name})"
+        assert verify_one_over_e_products(R, 3).parameter_name == f"n0(R={name})"
 
 
 class TestSweepMemory:
