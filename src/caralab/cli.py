@@ -37,6 +37,7 @@ from .glued import (
 )
 from .sweeps import (
     BoundConstants,
+    check_lemma_ranges,
     verify_final_chain,
     verify_lower_bound_sweep,
     verify_one_over_e_products,
@@ -139,8 +140,9 @@ def _bracket_record(bracket) -> dict:
 
 def cmd_verify_lemmas(args) -> int:
     args.R = args.R or [4.0]
-    for R in args.R:  # a bad radius fails before any sweep runs
+    for R in args.R:  # a bad radius or range fails before any sweep runs
         BoundConstants.for_radius(R)
+    check_lemma_ranges(args.m_max, args.n_max)
     sweeps = []
     t0 = time.perf_counter()
     sweeps.append(verify_upper_bound_sweep(args.m_max).to_dict())

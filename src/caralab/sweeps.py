@@ -3,21 +3,32 @@
 Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
-Every index range is walked in fixed slices of _CHUNK indices (_slices), so
+Every index range is walked in slices of at most _CHUNK indices (_slices), so
 peak memory does not grow with m_max or n_max, and every threshold and worst
 margin is streamed through a _SuffixScan.
+
+Each index's sin(pi/m), and its R^(1/m) at each radius, is evaluated once
+per process, apart from the slice that holds m_max.  The m1 and m2 sweeps
+walk their ranges in the slices of the block sums (_table_walk), and hand
+the sum of each whole slice to a memo (_handed_sums): m1 the sum of
+log|x(m)| from its sin(pi/m), m2 at R the sum of log q from its quotient q.
+So the block table evaluates only the slices above m1's range, and the chain
+at R only block 1 and the slices above m2's range.  A handed sum is the very
+float the block walk takes, so no result depends on the call order.  The
+memo keeps _MEMO_RADII radii and the R-free table, dropping the least
+recently used, with at most one sum per table slice each (4,107, 0.36 MB):
+at most 3.3 MB in all, and 133 sums per key at the CLI defaults.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-from .annulus import preimage_moduli
 
 # Float noise threshold of the algebraic identities.
 EPS_ALGEBRAIC = 1e-12
@@ -39,6 +50,12 @@ ONE_OVER_E_N0 = 1
 # to about ten in the upper and lower sweeps, stay in cache.  At least 2^12,
 # so blocks n <= 12 of a block sum stay one slice.
 _CHUNK = 1 << 13
+
+# Largest n_max of the block sweeps: their table ends at m = 2^25 - 1.
+_N_LIMIT = 24
+
+# Radii whose handed slice sums the memo keeps at once, besides the table's.
+_MEMO_RADII = 8
 
 
 def _radius_name(R: float) -> str:
@@ -109,19 +126,19 @@ class _SuffixScan:
         """Take the next slice: ok[i] and margins[k][i] belong to the
         parameter self.stop + i."""
         ok = np.asarray(ok, dtype=bool)
-        bad = np.flatnonzero(~ok)
         after = 0
-        if bad.size:
-            after = int(bad[-1]) + 1
+        if not ok.all():
+            after = int(np.flatnonzero(~ok)[-1]) + 1
             self.last_bad = self.stop + after - 1
             self.since_bad = math.inf
         for m in margins:
-            whole = np.min(m)
+            m = np.asarray(m)
+            whole = m.min()
             self.overall = min(self.overall, whole)
             if after == 0:
                 self.since_bad = min(self.since_bad, whole)
             elif after < len(m):
-                self.since_bad = min(self.since_bad, np.min(m[after:]))
+                self.since_bad = min(self.since_bad, m[after:].min())
         self.stop += ok.size
 
     def result(self) -> Tuple[Optional[int], float]:
@@ -153,6 +170,31 @@ def _slices(start: int, stop: int):
         yield np.add(_BASE[:k], lo, out=buf[:k])
 
 
+def _table_walk(start: int, stop: int):
+    """The slices of start..stop as _block_sums walks them: the _slices of
+    each block 2^n .. 2^(n+1)-1, clipped to the range.
+
+    Yields (ms, lo), with ms as _slices yields it.  lo is the slice's start
+    when the slice is a whole table slice (one a block sum of a block
+    n <= _N_LIMIT walks, unclipped), and None otherwise.
+    """
+    for n in range(operator.index(start).bit_length() - 1, operator.index(stop).bit_length()):
+        first, last = 2 ** n, 2 ** (n + 1) - 1
+        for ms in _slices(max(start, first), min(stop, last)):
+            lo = int(ms[0])
+            whole = (n <= _N_LIMIT and (lo - first) % _CHUNK == 0
+                     and len(ms) == min(_CHUNK, last + 1 - lo))
+            yield ms, lo if whole else None
+
+
+@lru_cache(maxsize=_MEMO_RADII + 1)
+def _handed_sums(R: Optional[float]) -> dict:
+    """Slice start -> slice sum, as the m1 sweep (R None: log|x(m)|) or the
+    m2 sweep at R (log q) handed it over; _block_sums reads it in place of
+    evaluating that table slice."""
+    return {}
+
+
 def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> None:
     """Record (m, lhs, rhs) in found for each pick m inside the slice ms."""
     lo = int(ms[0])
@@ -169,29 +211,62 @@ def _log0(values: np.ndarray) -> np.ndarray:
     return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
 
 
-def _block_sums(terms, n_max: int) -> Tuple[float, ...]:
+def _block_sums(terms, n_max: int, handed: Optional[dict] = None) -> Tuple[float, ...]:
     """Sums of terms(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max.
 
     Each block is evaluated and summed slice by slice (_slices); a block of
-    at most _CHUNK indices is one slice and one np.sum.
+    at most _CHUNK indices is one slice and one np.sum.  A slice whose start
+    is a key of handed takes the sum stored there, which a sweep took as
+    float(np.sum(terms(ms))) of that same slice, and is not evaluated.
     """
+    handed = {} if handed is None else handed
+
+    def slice_sum(ms: np.ndarray) -> float:
+        got = handed.get(int(ms[0]))
+        return float(np.sum(terms(ms))) if got is None else got
+
     return tuple(
-        sum(float(np.sum(terms(ms))) for ms in _slices(2 ** n, 2 ** (n + 1) - 1))
+        sum(slice_sum(ms) for ms in _slices(2 ** n, 2 ** (n + 1) - 1))
         for n in range(1, n_max + 1)
     )
+
+
+def _log_moduli_of_sin(s: np.ndarray) -> np.ndarray:
+    """log|x(m)| = -atanh(s) from s = sin(pi/m); exactly -inf at s = 1."""
+    with np.errstate(divide="ignore"):
+        return -np.arctanh(s)
 
 
 def _log_moduli(ms: np.ndarray) -> np.ndarray:
     """log|x(m)| = -atanh(sin(pi/m)), exactly -inf at m = 2; the log-tan form
     would add math.pi's rounding near pi/4 to every term of a block."""
-    with np.errstate(divide="ignore"):
-        return -np.arctanh(np.sin(math.pi / ms))
+    return _log_moduli_of_sin(np.sin(math.pi / ms))
 
 
 @lru_cache(maxsize=None)
 def _block_log_moduli(n_max: int) -> Tuple[float, ...]:
-    """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
-    return _block_sums(_log_moduli, n_max)
+    """Block sums of log|x(m)|: R-free, so every block sweep shares them.
+    Slices the m1 sweep has summed are read, not evaluated."""
+    return _block_sums(_log_moduli, n_max, _handed_sums(None))
+
+
+def _check_m_max(m_max: int, least: int) -> None:
+    if m_max < least:
+        raise ValueError(f"m_max must be >= {least}, got {m_max!r}")
+
+
+def _check_n_max(n_max: int) -> None:
+    if not 1 <= n_max <= _N_LIMIT:
+        raise ValueError(f"n_max must lie in [1, {_N_LIMIT}], got {n_max!r}")
+
+
+def check_lemma_ranges(m_max: int, n_max: int) -> None:
+    """Raise the ValueError that the first verify-lemmas sweep given these
+    ranges would raise, without running any sweep: the m1 sweep needs
+    m_max >= 4, the m2 sweep m_max >= 8, the block sweeps n_max in [1, 24]."""
+    _check_m_max(m_max, 4)
+    _check_m_max(m_max, 8)
+    _check_n_max(n_max)
 
 
 def tau(R: float, t) -> np.ndarray:
@@ -224,23 +299,30 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
 
     R-independent: only the disk moduli |x(m)| are involved.
     """
-    if m_max < 4:
-        raise ValueError(f"m_max must be >= 4, got {m_max!r}")
+    _check_m_max(m_max, 4)
     picks = [2, 3, 4, 10, 100, m_max]
     found = {}
     elementary_ok = True
     scan = _SuffixScan(2)
-    for ms in _slices(2, m_max):
-        x = preimage_moduli(ms)
-        s = np.sin(math.pi / ms)
+    table = _handed_sums(None)
+    for ms, lo in _table_walk(2, m_max):
+        t = math.pi / ms
+        # preimage_moduli(ms) bit for bit, without its range check: halving
+        # is exact, so fl(pi/m) * 0.5 = fl(pi/(2m)).
+        x = np.tan(math.pi / 4.0 - t * 0.5)
+        s = np.sin(t)
+        if lo is not None and lo not in table:
+            table[lo] = float(np.sum(_log_moduli_of_sin(s)))
         one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
 
-        lin_rhs = 1.0 - 2.0 / (ms + 1.0)
+        ms_plus_1 = ms + 1.0
+        lin_rhs = 1.0 - 2.0 / ms_plus_1
         lin_margin = lin_rhs - x
-        quad_margin = (ms + 1.0) * one_minus_sq - 4.0
-        elem_margin = (1.0 - x) - one_minus_sq / 2.0
+        quad_margin = ms_plus_1 * one_minus_sq - 4.0
+        elem_margin = (1.0 - x) - one_minus_sq * 0.5
 
-        elementary_ok &= bool(np.all(elem_margin >= -EPS_ALGEBRAIC))
+        # A NaN margin makes min NaN and fails, as in np.all(elem >= -eps).
+        elementary_ok &= bool(elem_margin.min() >= -EPS_ALGEBRAIC)
         scan.feed(
             (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC),
             lin_margin, quad_margin,
@@ -310,8 +392,7 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     positivity of the quotient for all m >= 3, tau(1e5) within 1% of its
     limit, and the algebraic factorization of the margin numerator.
     """
-    if m_max < 8:
-        raise ValueError(f"m_max must be >= 8, got {m_max!r}")
+    _check_m_max(m_max, 8)
     consts = BoundConstants.for_radius(R)
     s = math.sqrt(R)
     tau_floor = -1.5 * (s + 1.0) * math.log(R)
@@ -319,13 +400,16 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     found = {}
     positivity_ok = True
     scan = _SuffixScan(3)
-    for ms in _slices(3, m_max):
+    chain = _handed_sums(R)
+    for ms, lo in _table_walk(3, m_max):
         q, tau_ms = _quotient_and_tau(R, ms)
         rhs = 1.0 - consts.K_of_R / ms
         margin = q - rhs
-        positivity_ok &= bool(np.all(q > 0.0))
+        positivity_ok &= bool(q.min() > 0.0)  # a NaN fails it, as in np.all(q > 0)
         scan.feed((margin >= -EPS_ALGEBRAIC) & (tau_ms >= tau_floor - EPS_ALGEBRAIC), margin)
         _take_samples(found, ms, q, rhs, picks)
+        if lo is not None and lo not in chain:
+            chain[lo] = float(np.sum(_log0(q)))  # q's last use: _log0 may overwrite it
     m2, worst = scan.result()
 
     notes = [f"K(R)={consts.K_of_R:.12g}"]
@@ -379,12 +463,11 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     certifies.  Reports the least n from which every link holds through
     n_max, with per-link margins (log scale).
     """
-    if not 1 <= n_max <= 24:
-        raise ValueError(f"n_max must lie in [1, 24], got {n_max!r}")
+    _check_n_max(n_max)
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    lower = _block_sums(lambda ms: _log0(lower_bound_quotient(R, ms)), n_max)
+    lower = _block_sums(lambda ms: _log0(lower_bound_quotient(R, ms)), n_max, _handed_sums(R))
     upper = _block_log_moduli(n_max)
 
     ok_rows = []
@@ -442,8 +525,7 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
     The block products involve only disk moduli |x(m)| and are R-free; R is
     accepted for interface symmetry with the other sweeps.
     """
-    if not 1 <= n_max <= 24:
-        raise ValueError(f"n_max must lie in [1, 24], got {n_max!r}")
+    _check_n_max(n_max)
     ok_rows = []
     margins = []
     samples = []

@@ -23,7 +23,7 @@ from caralab import (
 )
 from caralab import glued
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
-from caralab.sweeps import _block_log_moduli
+from caralab.sweeps import _block_log_moduli, _handed_sums
 
 # Fast settings: sweep ranges for verify-lemmas, a small test-map family for
 # the commands that bound distances.
@@ -85,6 +85,7 @@ class TestVerifyLemmas:
     def test_block_table_is_computed_once(self, capsys):
         # Both block sweeps at every radius read one R-free table.
         _block_log_moduli.cache_clear()
+        _handed_sums.cache_clear()
         code, _, _ = run(capsys, ["verify-lemmas", *SWEEP, "--R", "1.5", "--R", "4", "--R", "10"])
         assert code == EXIT_OK
         info = _block_log_moduli.cache_info()
@@ -116,6 +117,22 @@ class TestVerifyLemmas:
         run(capsys, ["verify-lemmas", *SWEEP, "--out", str(f1)])
         run(capsys, ["verify-lemmas", *SWEEP, "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m-max", "3"], "m_max must be >= 4, got 3"),
+        (["--m-max", "5"], "m_max must be >= 8, got 5"),
+        (["--n-max", "25"], "n_max must lie in [1, 24], got 25"),
+        (["--n-max", "0"], "n_max must lie in [1, 24], got 0"),
+    ])
+    def test_bad_range_fails_before_any_sweep(self, capsys, monkeypatch, argv, message):
+        def fail(*args):
+            raise AssertionError("a sweep ran")
+
+        for name in dir(cli):
+            if name.startswith("verify_"):
+                monkeypatch.setattr(cli, name, fail)
+        code, out, err = run(capsys, ["verify-lemmas", *argv])
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_degenerate_radius_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify-lemmas", *SWEEP, "--R", "0.5"])

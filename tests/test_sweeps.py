@@ -16,17 +16,23 @@ from caralab import (
     verify_two_pi_limit,
     verify_upper_bound_sweep,
 )
+from caralab import sweeps
 from caralab.sweeps import (
     EPS_ALGEBRAIC,
     ONE_OVER_E_N0,
     _CHUNK,
+    _MEMO_RADII,
+    _N_LIMIT,
     _SuffixScan,
     _block_log_moduli,
     _block_sums,
+    _handed_sums,
     _log0,
     _log_moduli,
     _quotient_and_tau,
     _slices,
+    _table_walk,
+    check_lemma_ranges,
     lower_bound_quotient,
     tau,
 )
@@ -251,6 +257,144 @@ class TestSliceWalk:
         second = next(walk)
         assert np.shares_memory(first, second)
         assert first[0] == second[0] == kept[0] + _CHUNK
+
+
+def clear_sweep_state():
+    """Forget every block table and every handed slice sum."""
+    _block_log_moduli.cache_clear()
+    _handed_sums.cache_clear()
+
+
+def block_results(R, n_max):
+    """repr of the chain, n0 and table results: equal reprs mean bitwise
+    equal floats."""
+    return repr((verify_final_chain(R, n_max).to_dict(),
+                 verify_one_over_e_products(R, n_max).to_dict(),
+                 _block_log_moduli(n_max)))
+
+
+_FROM_SCRATCH = {}
+
+
+def block_results_from_scratch(R, n_max):
+    """block_results from a cleared state, in which no sweep has handed over
+    any slice sum; computed once per (R, n_max)."""
+    if (R, n_max) not in _FROM_SCRATCH:
+        clear_sweep_state()
+        _FROM_SCRATCH[R, n_max] = block_results(R, n_max)
+    return _FROM_SCRATCH[R, n_max]
+
+
+def count_indices(monkeypatch, name):
+    """Wrap the sweeps kernel called name; the returned list gets the number
+    of indices of each call (its last argument)."""
+    counted = []
+    kernel = getattr(sweeps, name)
+
+    def counting(*args):
+        counted.append(np.size(args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(sweeps, name, counting)
+    return counted
+
+
+RADII = [1.5, 4.0, 10.0, 1e6]
+
+
+class TestSharedSliceSums:
+    # The m1 and m2 sweeps hand their slice sums to the block table and the
+    # chain; no result may depend on whether they ran first.
+    @pytest.mark.parametrize("n_max", [12, 20])
+    @pytest.mark.parametrize("m_max", SLICE_EDGES + [10 ** 6, 20_000, 8])
+    def test_sweeps_first_changes_no_bit(self, m_max, n_max):
+        # 20,000 with n_max 12 runs past the table's end (m = 8,191), as in the
+        # CSV golden report; at m_max 8 no _CHUNK-sized slice is whole.
+        expected = [block_results_from_scratch(R, n_max) for R in RADII]
+        clear_sweep_state()
+        verify_upper_bound_sweep(m_max)
+        for R in RADII:
+            verify_lower_bound_sweep(R, m_max)
+        assert [block_results(R, n_max) for R in RADII] == expected
+
+    @pytest.mark.parametrize("R", RADII)
+    def test_block_sweeps_first_change_no_bit(self, R):
+        expected = block_results_from_scratch(R, 20)
+        clear_sweep_state()
+        assert block_results(R, 20) == expected
+        verify_upper_bound_sweep(3 * _CHUNK)
+        verify_lower_bound_sweep(R, 10 ** 6)
+        _block_log_moduli.cache_clear()
+        assert block_results(R, 20) == expected
+
+    def test_chain_evaluates_only_the_indices_m2_did_not(self, monkeypatch):
+        clear_sweep_state()
+        verify_lower_bound_sweep(4.0, 10 ** 6)
+        counted = count_indices(monkeypatch, "lower_bound_quotient")
+        verify_final_chain(4.0, 20)
+        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
+
+    def test_table_evaluates_only_the_indices_m1_did_not(self, monkeypatch):
+        clear_sweep_state()
+        verify_upper_bound_sweep(10 ** 6)
+        counted = count_indices(monkeypatch, "_log_moduli")
+        _block_log_moduli(20)
+        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
+
+    def test_memo_stays_bounded(self):
+        clear_sweep_state()
+        radii = [1.5 + k for k in range(20)]
+        chains = []
+        for R in radii:
+            verify_lower_bound_sweep(R, 3 * _CHUNK)
+            chains.append(repr(verify_final_chain(R, 16).to_dict()))
+        info = _handed_sums.cache_info()
+        assert info.currsize == info.maxsize == _MEMO_RADII + 1
+        # The first radius was let go, and its chain reads the same again.
+        assert repr(verify_final_chain(radii[0], 16).to_dict()) == chains[0]
+
+    def test_a_key_holds_at_most_one_sum_per_table_slice(self):
+        table_slices = sum(1 for n in range(1, _N_LIMIT + 1)
+                           for _ in range(2 ** n, 2 ** (n + 1), _CHUNK))
+        walked = [lo for _, lo in _table_walk(2, 2 ** (_N_LIMIT + 1) + _CHUNK)]
+        assert len(walked) == table_slices + 2
+        assert walked[-2:] == [None, None]  # past the table's last block
+        assert len(set(walked[:-2])) == table_slices
+
+    @pytest.mark.parametrize("start, stop", [(2, 3), (3, 8), (2, 5 * _CHUNK + 7), (3, 2 ** 15)])
+    def test_table_walk_covers_the_range_in_block_slices(self, start, stop):
+        walked = [(ms.copy(), lo) for ms, lo in _table_walk(start, stop)]
+        ms = np.concatenate([m for m, _ in walked])
+        assert ms.tobytes() == np.arange(start, stop + 1, dtype=float).tobytes()
+        for m, lo in walked:
+            n = int(m[0]).bit_length() - 1
+            assert int(m[-1]).bit_length() - 1 == n  # one block per slice
+            whole = (int(m[0]) - 2 ** n) % _CHUNK == 0 and len(m) == min(_CHUNK, 2 ** (n + 1) - m[0])
+            assert lo == (int(m[0]) if whole else None)
+
+    def test_m1_moduli_are_preimage_moduli(self):
+        # The m1 sweep takes tan's argument from pi/m: fl(pi/(2m)) = fl(pi/m)/2.
+        ms = np.arange(2, 2 ** 21, dtype=float)
+        t = math.pi / ms
+        assert np.tan(math.pi / 4.0 - t / 2.0).tobytes() == preimage_moduli(ms).tobytes()
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("m_max, n_max, message, sweep", [
+        (3, 20, "m_max must be >= 4, got 3", lambda: verify_upper_bound_sweep(3)),
+        (5, 20, "m_max must be >= 8, got 5", lambda: verify_lower_bound_sweep(4.0, 5)),
+        (10 ** 6, 25, "n_max must lie in [1, 24], got 25", lambda: verify_final_chain(4.0, 25)),
+        (10 ** 6, 0, "n_max must lie in [1, 24], got 0",
+         lambda: verify_one_over_e_products(4.0, 0)),
+    ])
+    def test_the_up_front_check_raises_what_the_sweep_would(self, m_max, n_max, message, sweep):
+        for check in (lambda: check_lemma_ranges(m_max, n_max), sweep):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
+
+    def test_good_ranges_pass(self):
+        check_lemma_ranges(8, 1)
+        check_lemma_ranges(10 ** 6, 24)
 
 
 class TestSweepNames:
@@ -492,6 +636,7 @@ class TestDeterminismAndSerialization:
 
         warm = run()
         _block_log_moduli.cache_clear()
+        _handed_sums.cache_clear()
         assert run() == warm
         assert _block_log_moduli.cache_info().misses == 1
 
