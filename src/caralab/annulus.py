@@ -37,8 +37,13 @@ class CoveringBranchError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnnulusConfig:
-    """Outer radius R of A(R) plus the numeric policy for bound searches;
-    family_degree 1 keeps the radial quotients, 2 adds degree-2 proper maps."""
+    """Outer radius R of A(R) plus the lower-bound family: family_degree 1
+    keeps the radial quotients, 2 adds degree-2 proper maps.
+
+    grid_density is accepted, validated and not read: the degree-2 maps sit
+    at a closed-form angle.  It stays because the benchmark harness under
+    perfbench/ still passes it (ROADMAP.md, "Next change to the benchmark").
+    """
 
     R: float
     family_degree: int = 2
@@ -227,6 +232,9 @@ def lift_enumeration(cfg: AnnulusConfig, w: complex) -> List[complex]:
 _MAX_PRIME_TERMS = 1000
 
 
+# minimize and MinimizeResult are no longer called: the lower bound has no
+# search left.  They stay because perfbench/spans.py wraps annulus.minimize
+# by name (ROADMAP.md, "Next change to the benchmark").
 class MinimizeResult(NamedTuple):
     x: np.ndarray
     fun: np.ndarray
@@ -254,14 +262,6 @@ def _prime_powers(R: float) -> Optional[np.ndarray]:
     return table
 
 
-@lru_cache(maxsize=None)
-def _angle_steps(n: int) -> np.ndarray:
-    """The grid's angle offsets 2 pi / n * k, k = 0..n-1, read-only per n."""
-    table = 2.0 * math.pi / n * np.arange(n)
-    table.setflags(write=False)
-    return table
-
-
 def _prime(x: np.ndarray, q2k: np.ndarray) -> np.ndarray:
     """Annulus prime function P(x) = (1 - x) prod_k (1 - q^2k x)(1 - q^2k / x)."""
     t = x[..., None]
@@ -274,17 +274,27 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     Maximizes mobius(f(a), f(b)) over holomorphic maps f: A(R) -> D: the
     radial quotients w/R and 1/w and, for family_degree 2, the degree-2
     proper maps with one zero at a (or b) and the other on |w| = R/|a|,
-    searched over 8 * grid_density angles.  Every member certifies, so search
-    slack never invalidates the result.
+    placed on the ray opposite the other end.  Every member certifies, so
+    the placement only affects tightness, never validity.
 
     The degree-2 map with zeros w1, w2, |w1 w2| = R, is
     g(w) = F(w1) F(w2) / w with F(zero) = P(w/zero) / P(w conj(zero) / R^2):
     in z = w/R, q = 1/R this is q z^-1 prod_i P(z/a_i) / P(z conj(a_i)), which
     has |g| = 1 on both boundary circles.  Its value is |g| at the end that
-    is not a zero.  One prime-function call evaluates F at that end for both
-    orientations' fixed zeros and every grid zero.  Ties go to the radial
-    quotients, then to a's orientation: a candidate must beat the best so far
-    strictly after the _ONE_MINUS clamp.
+    is not a zero.
+
+    Why the opposite ray: ln|F_zeta(w)| = -G_A(w, zeta) plus a term in |w|
+    and |zeta| only, where G_A is the Green's function of A(R).  With the
+    moduli fixed, G_A(w, zeta) decreases as the angle between w and zeta
+    grows to pi (reflection in the line through w and the maximum
+    principle), so the second zero -(R/|zero|) other/|other| maximizes the
+    value.  Certification needs none of this.  At that zero, other/zero2 is
+    the real -|a||b|/R for both orientations, and its conjugate argument is
+    that value over |zero|^2, so one prime-function call on seven arguments
+    evaluates both orientations: each fixed zero's pair, the shared real
+    value and its two conjugates.  Ties go to the radial quotients, then to
+    a's orientation: a candidate must beat the best so far strictly after
+    the _ONE_MINUS clamp.
     """
     a = _as_annulus_point(cfg, a, "a")
     b = _as_annulus_point(cfg, b, "b")
@@ -303,37 +313,21 @@ def annulus_lower_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     q2k = _prime_powers(R)
     if cfg.family_degree == 1 or q2k is None:
         return best, witness
-    n = 8 * cfg.grid_density
-    # Row o: the fixed zero and the other end of orientation o (a, then b).
+    # Orientation o: the fixed zero and the other end (a, then b).
     pairs = ((a, b), (b, a))
-    rhos = [R / abs(zero) for zero, _ in pairs]
-    # The grid starts at arg(other), so rotating the pair rotates the grid.
-    grid = np.add.outer([cmath.phase(other) for _, other in pairs], _angle_steps(n))
-    others = np.array([[other] for _, other in pairs])
-
-    def objective(theta):
-        # x = w / zero and w conj(zero) / R^2 per zero, the fixed zero first.
-        x = np.empty((2, n + 1, 2), dtype=complex)
-        zeros = np.array(rhos)[:, None] * np.exp(1j * theta)
-        x[:, 1:, 0] = others / zeros
-        x[:, 1:, 1] = x[:, 1:, 0] * (np.abs(zeros) / R) ** 2
-        # The fixed zero's x and factor stay scalar arithmetic: Python's
-        # complex quotient and numpy's scalar power and division round
-        # differently from the array forms, and the bounds keep their bits.
-        for o, (zero, other) in enumerate(pairs):
-            x[o, 0, 0] = x0 = other / zero
-            x[o, 0, 1] = x0 * (np.abs(zero) / R) ** 2
-        p = _prime(x, q2k)
-        f = p[..., 0] / p[..., 1]
-        fixed = np.array([[f[o, 0] / other] for o, (_, other) in enumerate(pairs)])
-        return -np.abs(fixed * f[:, 1:])
-
-    res = minimize(objective, grid)
+    y = -(abs(a) * abs(b)) / R
+    x = [y]
+    for zero, other in pairs:
+        x0 = other / zero
+        x += [x0, x0 * (abs(zero) / R) ** 2, y / abs(zero) ** 2]
+    p = _prime(np.array(x), q2k).tolist()
     zeros = None
-    for (zero, _), rho, theta, fun in zip(pairs, rhos, res.x.tolist(), res.fun.tolist()):
-        v = min(-fun, _ONE_MINUS)
+    for o, (zero, other) in enumerate(pairs):
+        # P at the fixed zero's pair, then at the second zero's conjugate.
+        fixed, fixed_conj, second_conj = p[1 + 3 * o:4 + 3 * o]
+        v = min(abs(fixed / fixed_conj / other * (p[0] / second_conj)), _ONE_MINUS)
         if v > best:
-            best, zeros = v, (zero, rho * cmath.exp(1j * theta))
+            best, zeros = v, (zero, -(R / abs(zero)) * (other / abs(other)))
     if zeros is not None:
         witness = "degree-2 proper map, zeros " + ", ".join(
             f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)

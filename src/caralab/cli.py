@@ -240,7 +240,9 @@ OPTIONS = {
     "m_max": ("--m-max", dict(type=int, default=10 ** 6)),
     "n_max": ("--n-max", dict(type=int, default=20)),
     "family_degree": ("--family-degree", dict(type=int, choices=(1, 2), default=2)),
-    "grid_density": ("--grid-density", dict(type=int, default=3)),
+    "grid_density": ("--grid-density", dict(
+        type=int, default=3, help="accepted and echoed, not read: the degree-2 maps sit at a "
+        "closed-form angle (default 3, must be >= 1)")),
     "format": ("--format", dict(choices=("json", "csv"), default="json")),
     "band": ("--band", dict(required=True, help="compact band 'r1,r2'")),
     "band_sheets": ("--band-sheets", dict(

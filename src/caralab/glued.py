@@ -47,7 +47,13 @@ from .annulus import (
     _bracket,
     _lift_witness,
 )
-from .disk import BlaschkeProduct, _ONE_MINUS, _atanh, mobius_distance  # noqa: F401
+from .disk import (  # noqa: F401
+    BlaschkeProduct,
+    DiskDomainError,
+    _ONE_MINUS,
+    _atanh,
+    mobius_distance,
+)
 from .sweeps import ONE_OVER_E_N0, TWO_OVER_E, verify_one_over_e_products  # noqa: F401
 
 # Glue-index/coordinate agreement tolerance when both are supplied.
@@ -330,10 +336,15 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     R = cfg.annulus.R
     for pt in sorted((p, q), key=lambda pt: pt.sheet):
         # An evaluation point w/R that rounds onto the circle drops the
-        # candidate, as in annulus_lower_bound.
+        # candidate, as in annulus_lower_bound, and so does a product whose
+        # zeros come within EPS_BOUNDARY of the circle (deep sheets of a
+        # thin annulus): any subset of the family still certifies.
         if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
             continue
-        B = _sheet_blaschke(R, pt.sheet)
+        try:
+            B = _sheet_blaschke(R, pt.sheet)
+        except DiskDomainError:
+            continue
         stop = None
         if best > 0.0:
             log_best = math.log(best)  # <= 0, as best < 1

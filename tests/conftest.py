@@ -12,8 +12,8 @@ from caralab import AnnulusConfig, SpaceConfig
 
 @pytest.fixture
 def acf():
-    # The acceptance and demo setting: degree-2 proper maps on a 16-angle
-    # grid.  Every family member certifies regardless of family size.
+    # The acceptance and demo setting: degree-2 proper maps (grid_density is
+    # accepted and not read).  Every family member certifies.
     return AnnulusConfig(R=4.0, family_degree=2, grid_density=2)
 
 

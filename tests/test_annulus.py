@@ -11,12 +11,14 @@ from caralab import (
     AnnulusDomainError,
     BoundConstants,
     BracketOrderError,
+    SpaceConfig,
     annulus_distance_bracket,
     annulus_lower_bound,
     annulus_upper_bound,
     covering_map,
     lift_enumeration,
     mobius_distance,
+    parse_point,
     preimage_moduli,
     preimage_point,
     schwarz_pick_check,
@@ -105,35 +107,82 @@ def degree2_map(R, w1, w2, w):
     return zero_factor(R, q2k, w1, w) * zero_factor(R, q2k, w2, w) / w
 
 
+def prime_ratio(q2k, x, x_conj):
+    """P(x) / P(x_conj) for two scalar arguments: one zero's factor from the
+    prime-function arguments it takes, in a prime-function call of its own."""
+    p, p_conj = _prime(np.array([x, x_conj], dtype=complex), q2k).tolist()
+    return p / p_conj
+
+
+def radial_lower_bound(R, a, b):
+    """The radial quotients' best value and witness; a quotient that rounds
+    onto the unit circle is dropped."""
+    return max(((mobius_distance(x, y), name) for x, y, name in
+                ((a / R, b / R, "w/R"), (1.0 / a, 1.0 / b, "1/w"))
+                if abs(x) < 1.0 and abs(y) < 1.0),
+               default=(0.0, "trivial (both radial quotients round onto the unit circle)"))
+
+
+def degree2_witness(zeros):
+    return "degree-2 proper map, zeros " + ", ".join(
+        f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
+
+
+def witness_zeros(witness):
+    """The two zeros a degree-2 witness names, parsed back to complex."""
+    text = witness.removeprefix("degree-2 proper map, zeros ")
+    return [complex(z.replace("i", "j")) for z in text.split(", ")]
+
+
 def reference_lower_bound(cfg, a, b):
-    """The two-loop search: per orientation, the fixed zero's factor and the
-    grid zeros' factors in separate prime-function calls, the grid argmin,
-    then the clamp and a strict comparison with the best so far.  Also
-    returns each orientation's unclamped degree-2 value."""
+    """The closed-form placement one orientation at a time: the fixed
+    zero's factor and the second zero's factor in separate prime-function
+    calls, then the clamp and a strict comparison with the best so far.
+    Also returns each orientation's unclamped degree-2 value."""
     a, b = complex(a), complex(b)
     if a == b:
         return 0.0, "trivial (identical points)", []
     R = cfg.R
-    best, witness = max((mobius_distance(a / R, b / R), "w/R"),
-                        (mobius_distance(1.0 / a, 1.0 / b), "1/w"))
+    best, witness = radial_lower_bound(R, a, b)
     q2k = _prime_powers(R)
     if cfg.family_degree == 1 or q2k is None:
         return best, witness, []
-    n = 8 * cfg.grid_density
+    # other / zero2 at the second zero -(R/|zero|) other/|other|.
+    y = -(abs(a) * abs(b)) / R
     raw = []
+    for zero, other in ((a, b), (b, a)):
+        x0 = other / zero
+        fixed = prime_ratio(q2k, x0, x0 * (abs(zero) / R) ** 2)
+        raw.append(abs(fixed / other * prime_ratio(q2k, y, y / abs(zero) ** 2)))
+        v = min(raw[-1], _ONE_MINUS)
+        if v > best:
+            best, witness = v, degree2_witness((zero, -(R / abs(zero)) * (other / abs(other))))
+    return best, witness, raw
+
+
+def reference_grid_lower_bound(cfg, a, b):
+    """The grid search the closed-form placement replaced: per orientation,
+    the second zero over 8 * grid_density angles from arg(other), the grid
+    argmin, then the clamp and a strict comparison with the best so far."""
+    a, b = complex(a), complex(b)
+    if a == b:
+        return 0.0, "trivial (identical points)"
+    R = cfg.R
+    best, witness = radial_lower_bound(R, a, b)
+    q2k = _prime_powers(R)
+    if cfg.family_degree == 1 or q2k is None:
+        return best, witness
+    n = 8 * cfg.grid_density
     for zero, other in ((a, b), (b, a)):
         rho = R / abs(zero)
         fixed = zero_factor(R, q2k, zero, other) / other
         grid = cmath.phase(other) + 2.0 * math.pi / n * np.arange(n)
         values = -np.abs(fixed * zero_factor(R, q2k, rho * np.exp(1j * grid), other))
         j = int(np.argmin(values))
-        raw.append(-float(values[j]))
         v = min(-float(values[j]), _ONE_MINUS)
         if v > best:
-            zeros = (zero, rho * cmath.exp(1j * float(grid[j])))
-            best, witness = v, "degree-2 proper map, zeros " + ", ".join(
-                f"{z.real:.17g}{z.imag:+.17g}i" for z in zeros)
-    return best, witness, raw
+            best, witness = v, degree2_witness((zero, rho * cmath.exp(1j * float(grid[j]))))
+    return best, witness
 
 
 def inside(R, r, t):
@@ -343,8 +392,9 @@ FAMILY_RADII = [1.03, 1.1, 1.5, 4.0, 10.0, 1e3]
 
 
 class TestBatchedFamily:
-    """One prime-function call per lower bound gives the two-loop search's
-    values and witnesses bit for bit."""
+    """The degree-2 maps at their closed-form angle, both orientations in one
+    prime-function call: the per-orientation reference bit for bit, never
+    below the grid search it replaced, and re-evaluable from the witness."""
 
     @staticmethod
     def pairs(R, seed):
@@ -364,18 +414,64 @@ class TestBatchedFamily:
                 out.append((inside(R, inner, t + dt), inside(R, R, t)))
         return out
 
+    @staticmethod
+    def near_circle_pairs(R):
+        """Ends whose radial quotient rounds onto the unit circle, against
+        sqrt(R) and each other."""
+        inner, outer = near_circle_points(R)
+        ends = inner[:2] + outer[:2]
+        return [(w, cmath.rect(math.sqrt(R), 0.7)) for w in ends] + list(zip(ends, ends[1:]))
+
+    def all_pairs(self, R, seed):
+        return [(p, q) for a, b in self.pairs(R, seed) + self.near_circle_pairs(R)
+                for p, q in ((a, b), (b, a))]
+
     @pytest.mark.parametrize("density", [1, 2, 3])
     @pytest.mark.parametrize("R", FAMILY_RADII)
     def test_matches_the_two_loop_search(self, R, density):
         cfg = AnnulusConfig(R=R, grid_density=density)
         clamped = 0
-        for a, b in self.pairs(R, density):
-            for p, q in ((a, b), (b, a)):
-                value, witness = annulus_lower_bound(cfg, p, q)
-                expected, expected_witness, raw = reference_lower_bound(cfg, p, q)
-                assert (value, witness) == (expected, expected_witness), (p, q)
-                clamped += max(raw) >= _ONE_MINUS
+        for p, q in self.all_pairs(R, density):
+            value, witness = annulus_lower_bound(cfg, p, q)
+            expected, expected_witness, raw = reference_lower_bound(cfg, p, q)
+            assert (value, witness) == (expected, expected_witness), (p, q)
+            clamped += max(raw) >= _ONE_MINUS
         assert clamped >= 4
+
+    @pytest.mark.parametrize("density", [1, 2, 3])
+    @pytest.mark.parametrize("R", FAMILY_RADII)
+    def test_never_below_the_grid_search(self, R, density):
+        # The grid holds the closed-form angle (k = n/2), so it can beat it
+        # only by rounding.
+        cfg = AnnulusConfig(R=R, grid_density=density)
+        for p, q in self.all_pairs(R, density):
+            value = annulus_lower_bound(cfg, p, q)[0]
+            grid = reference_grid_lower_bound(cfg, p, q)[0]
+            assert value >= grid * (1.0 - 1e-13), (p, q)
+
+    @pytest.mark.parametrize("R", FAMILY_RADII)
+    def test_witness_zeros_re_evaluate_to_the_value(self, R):
+        cfg = AnnulusConfig(R=R)
+        checked = 0
+        for p, q in self.all_pairs(R, 0):
+            value, witness = annulus_lower_bound(cfg, p, q)
+            if not witness.startswith("degree-2") or value >= _ONE_MINUS:
+                continue
+            w1, w2 = witness_zeros(witness)
+            assert w1 in (p, q) and abs(abs(w1 * w2) - R) <= 1e-13 * R
+            end = q if w1 == p else p
+            assert abs(degree2_map(R, w1, w2, end)) == pytest.approx(value, rel=1e-13), (p, q)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("R", FAMILY_RADII)
+    def test_grid_density_does_not_move_a_bracket(self, R):
+        brackets = [
+            [annulus_distance_bracket(AnnulusConfig(R=R, grid_density=d), p, q)
+             for p, q in self.all_pairs(R, 5)]
+            for d in (1, 2, 3)
+        ]
+        assert brackets[0] == brackets[1] == brackets[2]
 
     @pytest.mark.parametrize("inner, dt, winner", [
         # w/R clamps too and keeps the tie.
@@ -392,13 +488,15 @@ class TestBatchedFamily:
         assert (value, witness) == (expected, expected_witness)
         assert value == _ONE_MINUS and min(raw) >= _ONE_MINUS
         if winner == "a":
-            assert witness.startswith(f"degree-2 proper map, zeros {a.real:.17g}")
+            # a's zero, and the second zero on the ray opposite b.
+            assert witness == degree2_witness((a, -(R / abs(a)) * (b / abs(b))))
         else:
             assert witness == winner
 
     @pytest.mark.parametrize("density", [1, 2, 3])
     def test_one_prime_call_per_lower_bound(self, density, monkeypatch):
         import caralab.annulus as annulus
+        import caralab.glued as glued
 
         calls = []
 
@@ -406,11 +504,24 @@ class TestBatchedFamily:
             calls.append(x.shape)
             return _prime(x, q2k)
 
+        def searching(*args):
+            raise AssertionError("the lower bound called minimize")
+
         monkeypatch.setattr(annulus, "_prime", counting)
+        monkeypatch.setattr(annulus, "minimize", searching)
         cfg = AnnulusConfig(R=4.0, grid_density=density)
-        annulus_lower_bound(cfg, 2.0 + 0.5j, -1.5 + 1.2j)
-        # Both orientations: the fixed zero and 8 * density grid zeros each.
-        assert calls == [(2, 8 * density + 1, 2)]
+        for a, b in ((2.0 + 0.5j, -1.5 + 1.2j), (2.0, 2.0j), (1.1, 3.9 + 0.1j)):
+            calls.clear()
+            annulus_lower_bound(cfg, a, b)
+            # Both orientations' fixed-zero pairs, the shared real value
+            # -|a||b|/R and its two conjugate arguments: at most 8.
+            assert len(calls) == 1 and math.prod(calls[0]) <= 8
+        # A glued cross-sheet bound pulls back one annulus lower bound.
+        space = SpaceConfig(cfg, sheets=4)
+        calls.clear()
+        glued.glued_lower_bound(space, parse_point(space, "0:2,0.5"),
+                                parse_point(space, "3:-1.5,1.2"))
+        assert len(calls) == 1 and math.prod(calls[0]) <= 8
 
 
 class TestFamilyMonotonicity:
@@ -418,13 +529,13 @@ class TestFamilyMonotonicity:
     @settings(max_examples=40, deadline=None)
     def test_lower_bound_never_drops_as_the_family_grows(self, pair, d):
         # Degree 1 is the radial quotients alone; degree 2 adds the proper
-        # maps.  The 16d-angle grid holds the 8d-angle grid bit for bit.
+        # maps.  grid_density is not read, so doubling it moves nothing.
         R, a, b = pair
 
         def lower(degree, density):
             return annulus_lower_bound(AnnulusConfig(R, degree, density), a, b)[0]
 
-        assert lower(1, d) <= lower(2, d) <= lower(2, 2 * d)
+        assert lower(1, d) <= lower(2, d) == lower(2, 2 * d)
 
 
 class TestAutomorphismInvariance:

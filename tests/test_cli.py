@@ -322,6 +322,39 @@ COMMANDS = {
 }
 
 
+class TestThinDeepSheets:
+    """Deep sheets of a thin annulus: the zeros of B_t come within
+    EPS_BOUNDARY of the unit circle, so the lower bound drops F_t, as it
+    drops a quotient that rounds onto the circle, and the command runs."""
+
+    def test_distance_keeps_the_shallow_sheet_candidate(self, capsys):
+        code, out, err = run(capsys, ["glued", "distance", "--R", "1.0000001", "--N", "20",
+                                      "3:1.00000005,0", "20:1.00000005,0"])
+        assert (code, err) == (EXIT_OK, "")
+        br = json.loads(out)["bracket"]
+        assert br["lower_witness"] == "sheet-supported[3]"
+        assert 0.05 < br["lower"] <= br["upper"] < 1.0
+
+    def test_complete_reaches_sheets_19_and_20(self, capsys):
+        pts = ["19:1.00005,0", "20:1.00005,0.0001", "20:1.00005,0"]
+        code, out, err = run(capsys, ["glued", "complete", "--R", "1.0001", "--N", "20", *pts])
+        assert (code, err) == (EXIT_OK, "")
+        stats = json.loads(out)["completeness"]["tail_stats"]
+        assert [s["single_sheet"] for s in stats] == [False, True]
+        assert all(0.0 < s["separation_floor_mobius"] <= s["cauchy_modulus_mobius"] < 1.0
+                   for s in stats)
+
+    @pytest.mark.parametrize("R", ["1.0001", "1.001"])
+    def test_noncompact_floor_of_zero_is_a_verification_failure(self, capsys, R):
+        # Sheets 19 and 20 hold the same coordinate, both their F_t are
+        # dropped and the radial pullbacks read 0: nothing is certified.
+        code, out, err = run(capsys, ["glued", "noncompact", "--R", R, "--N", "20"])
+        assert (code, err) == (EXIT_VERIFICATION_FAILURE, "")
+        rep = json.loads(out)["noncompactness"]
+        assert (rep["pairwise_lower_floor_mobius"], rep["passed"]) == (0.0, False)
+        assert rep["distinct_sheets"] == 19
+
+
 class TestOptionSets:
     @pytest.mark.parametrize(
         "command, option",

@@ -341,6 +341,20 @@ class TestNearCircle:
             assert (value, witness) == (pulled[0], f"pullback[{pulled[1]}]")
 
 
+    def test_a_sheet_product_too_close_to_the_circle_is_dropped(self):
+        # At R = 1 + 1e-7 the zeros of deep sheets' products lie within
+        # EPS_BOUNDARY of the unit circle; those candidates are dropped.
+        R = 1.0000001
+        cfg = SpaceConfig(AnnulusConfig(R=R), sheets=20)
+        with pytest.raises(DiskDomainError):
+            _sheet_blaschke(R, 20)
+        w = 1.00000005
+        p, q = canonicalize(cfg, 3, w), canonicalize(cfg, 20, w)
+        assert glued_lower_bound(cfg, p, q)[1] == "sheet-supported[3]"
+        deep = canonicalize(cfg, 19, w)
+        assert glued_lower_bound(cfg, deep, q) == (0.0, "pullback[trivial (identical points)]")
+
+
 class TestGluedBounds:
     def test_same_sheet_bracket_matches_annulus(self, cfg):
         a, b = complex(1.5, 0.5), complex(2.5, -1.0)

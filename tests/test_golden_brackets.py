@@ -8,6 +8,9 @@ keep every bound bit for bit must leave it passing untouched; only a change
 meant to move a bound regenerates it:
 
     PYTHONPATH=src python tests/test_golden_brackets.py --write
+
+which prints, before it overwrites the file, how many lower values, upper
+values and witnesses moved, and the largest relative move.
 """
 
 import json
@@ -139,9 +142,37 @@ def assert_matches(br, rec: dict) -> None:
     assert got == {k: rec[k] for k in got}, rec
 
 
+def moves(old: dict, new: dict) -> list:
+    """One line per section: how many records' lower values, upper values
+    and witnesses differ between two golden documents, and the largest
+    relative move of a bound.  Records pair up by position, so a section
+    whose inputs changed is reported as such."""
+    inputs = {"annulus": ("R", "family_degree", "grid_density", "a", "b"), "glued": ("p", "q")}
+    lines = []
+    for key, fields in inputs.items():
+        before, after = old.get(key, []), new[key]
+        if [[r[f] for f in fields] for r in before] != [[r[f] for f in fields] for r in after]:
+            lines.append(f"{key}: inputs changed ({len(before)} -> {len(after)} records)")
+            continue
+        moved = {side: 0 for side in ("lower", "upper", "lower_witness", "upper_witness")}
+        largest = 0.0
+        for was, now in zip(before, after):
+            for side in moved:
+                moved[side] += was[side] != now[side]
+            for side in ("lower", "upper"):
+                if was[side] != now[side]:
+                    largest = max(largest, abs(now[side] - was[side]) / max(abs(was[side]), 1e-300))
+        counts = ", ".join(f"{side} {n}/{len(after)}" for side, n in moved.items())
+        lines.append(f"{key}: moved {counts}; largest relative move {largest:.3g}")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    data = generate()
+    if GOLDEN.exists():
+        print("\n".join(moves(json.loads(GOLDEN.read_text()), data)))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(dump(generate()))
+    GOLDEN.write_text(dump(data))
     print(f"wrote {GOLDEN}")
