@@ -3,30 +3,29 @@
 Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
-Every index range is walked in slices of at most _CHUNK indices (_slices), so
-peak memory does not grow with m_max or n_max, and every threshold and worst
-margin is streamed through a _SuffixScan.
+The m1 and m2 sweeps walk their ranges in slices of at most _CHUNK indices
+(_slices), so peak memory does not grow with m_max, and stream every
+threshold and worst margin through a _SuffixScan.
 
-Each index's sin(pi/m), and its R^(1/m) at each radius, is evaluated once
-per process, apart from the slice that holds m_max.  The m1 and m2 sweeps
-walk their ranges in the slices of the block sums (_table_walk), and hand
-the sum of each whole slice to a memo (_handed_sums): m1 the sum of
-log|x(m)| from its sin(pi/m), m2 at R the sum of log q from its quotient q.
-So the block table evaluates only the slices above m1's range, and the chain
-at R only block 1 and the slices above m2's range.  A handed sum is the very
-float the block walk takes, so no result depends on the call order.  The
-memo keeps _MEMO_RADII radii and the R-free table, dropping the least
-recently used, with at most one sum per table slice each (4,107, 0.36 MB):
-at most 3.3 MB in all, and 133 sums per key at the CLI defaults.
+The chain and 1/e sweeps read sums over the blocks m = 2^n .. 2^(n+1)-1
+(_block_sums).  A head block, n <= _HEAD_N, fits in one slice and is one
+np.sum of its terms: a plain float sum, with radius 0.  Every longer block is
+summed in closed form (_series_block).  Both summands, log|x(m)| and the
+chain's log q_R(m), are odd power series in x = 1/m with radius of
+convergence 1/2, and Euler-Maclaurin gives each power sum over the block.
+Such a block sum is a value plus an a priori error radius, which covers the
+dropped orders of the series, the Euler-Maclaurin remainder and the float
+evaluation; the block sweeps subtract it outward in every link and margin.
+So the table and the chain at each radius evaluate 2^14 - 2 indices each,
+whatever n_max.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,15 +46,21 @@ TWO_OVER_E = 2.0 / math.e
 ONE_OVER_E_N0 = 1
 
 # Indices per slice of every index walk (_slices): a slice's work arrays, up
-# to about ten in the upper and lower sweeps, stay in cache.  At least 2^12,
-# so blocks n <= 12 of a block sum stay one slice.
+# to about ten in the upper and lower sweeps, stay in cache.
 _CHUNK = 1 << 13
+
+# Blocks n <= _HEAD_N fit in one slice and are summed term by term; longer
+# blocks are summed in closed form (_series_block).
+_HEAD_N = _CHUNK.bit_length() - 1
 
 # Largest n_max of the block sweeps: their table ends at m = 2^25 - 1.
 _N_LIMIT = 24
 
-# Radii whose handed slice sums the memo keeps at once, besides the table's.
-_MEMO_RADII = 8
+# Unit roundoff of a float.
+_U = 2.0 ** -53
+
+# The odd powers j of 1/m that a closed-form block sum keeps.
+_ORDERS = (1, 3, 5, 7)
 
 
 def _radius_name(R: float) -> str:
@@ -170,31 +175,6 @@ def _slices(start: int, stop: int):
         yield np.add(_BASE[:k], lo, out=buf[:k])
 
 
-def _table_walk(start: int, stop: int):
-    """The slices of start..stop as _block_sums walks them: the _slices of
-    each block 2^n .. 2^(n+1)-1, clipped to the range.
-
-    Yields (ms, lo), with ms as _slices yields it.  lo is the slice's start
-    when the slice is a whole table slice (one a block sum of a block
-    n <= _N_LIMIT walks, unclipped), and None otherwise.
-    """
-    for n in range(operator.index(start).bit_length() - 1, operator.index(stop).bit_length()):
-        first, last = 2 ** n, 2 ** (n + 1) - 1
-        for ms in _slices(max(start, first), min(stop, last)):
-            lo = int(ms[0])
-            whole = (n <= _N_LIMIT and (lo - first) % _CHUNK == 0
-                     and len(ms) == min(_CHUNK, last + 1 - lo))
-            yield ms, lo if whole else None
-
-
-@lru_cache(maxsize=_MEMO_RADII + 1)
-def _handed_sums(R: Optional[float]) -> dict:
-    """Slice start -> slice sum, as the m1 sweep (R None: log|x(m)|) or the
-    m2 sweep at R (log q) handed it over; _block_sums reads it in place of
-    evaluating that table slice."""
-    return {}
-
-
 def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, picks) -> None:
     """Record (m, lhs, rhs) in found for each pick m inside the slice ms."""
     lo = int(ms[0])
@@ -203,51 +183,166 @@ def _take_samples(found: dict, ms: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
             found[m] = (m, float(lhs[m - lo]), float(rhs[m - lo]))
 
 
-def _log0(values: np.ndarray) -> np.ndarray:
-    """Elementwise log, with -inf wherever a value is not positive.  When
-    every value is positive the log overwrites values, so pass a temporary."""
-    if values.min() > 0.0:
-        return np.log(values, out=values)
-    return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
+class _Series(NamedTuple):
+    """A summand f(m) = sum_j c_j m^-j over odd j: the coefficients c_j for
+    j in _ORDERS, a bound on each one's float error, and the scale K of the
+    majorant |c_j| <= K 2^(j+1) / j, which holds for every odd j and bounds
+    the orders dropped."""
+
+    coeffs: Tuple[float, ...]
+    errors: Tuple[float, ...]
+    scale: float
 
 
-def _block_sums(terms, n_max: int, handed: Optional[dict] = None) -> Tuple[float, ...]:
-    """Sums of terms(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max.
+def _modulus_series() -> _Series:
+    """log|x(m)| = -gd^-1(pi/m) = -sum_j |E_(j-1)| pi^j / j! m^-j over odd j,
+    with the Euler numbers 1, 1, 5, 61.
 
-    Each block is evaluated and summed slice by slice (_slices); a block of
-    at most _CHUNK indices is one slice and one np.sum.  A slice whose start
-    is a key of handed takes the sum stored there, which a sweep took as
-    float(np.sum(terms(ms))) of that same slice, and is not evaluated.
+    |E_(j-1)| pi^j / j! = 2^(j+1) beta(j) / j, and Dirichlet's beta(j) < 1,
+    so K = 1.  Each coefficient rounds within (j + 4) u: math.pi within u,
+    its power within j u plus one ulp, then a product and a quotient.
     """
-    handed = {} if handed is None else handed
-
-    def slice_sum(ms: np.ndarray) -> float:
-        got = handed.get(int(ms[0]))
-        return float(np.sum(terms(ms))) if got is None else got
-
-    return tuple(
-        sum(slice_sum(ms) for ms in _slices(2 ** n, 2 ** (n + 1) - 1))
-        for n in range(1, n_max + 1)
-    )
+    coeffs = tuple(-math.pi ** j * e / math.factorial(j) for j, e in zip(_ORDERS, (1, 1, 5, 61)))
+    return _Series(coeffs, tuple((j + 4) * _U * abs(c) for j, c in zip(_ORDERS, coeffs)), 1.0)
 
 
-def _log_moduli_of_sin(s: np.ndarray) -> np.ndarray:
-    """log|x(m)| = -atanh(s) from s = sin(pi/m); exactly -inf at s = 1."""
-    with np.errstate(divide="ignore"):
-        return -np.arctanh(s)
+_MODULUS_SERIES = _modulus_series()
+
+
+def _series_log(a: List[float]) -> Tuple[List[float], List[float]]:
+    """Coefficients g_k of log(1 + sum_{k>=1} a_k x^k) (a[0] is not read), by
+    k g_k = k a_k - sum_{i<k} i g_i a_(k-i); and the magnitudes, the same
+    recurrence on absolute values, which bound how errors grow in it."""
+    g, mag = [0.0] * len(a), [0.0] * len(a)
+    for k in range(1, len(a)):
+        g[k] = (k * a[k] - sum(i * g[i] * a[k - i] for i in range(1, k))) / k
+        mag[k] = (k * abs(a[k]) + sum(i * mag[i] * abs(a[k - i]) for i in range(1, k))) / k
+    return g, mag
+
+
+def _log_quotient_series(R: float) -> _Series:
+    """log q_R(m), q_R = lower_bound_quotient(R, m), as an odd power series in
+    x = 1/m.
+
+    With L = ln R, s = sqrt(R), d = s - 1 = expm1(L/2) and u = e^(Lx) - 1,
+    q = (s - e^(Lx)) / (s e^(Lx) - 1) = (1 - u/d) / (1 + s u/d), so log q is
+    the power-series log of the first factor minus that of the second.
+    q(-x) = 1/q(x), so log q is odd: its even coefficients are exactly 0, and
+    the computed ones (rounding noise) are dropped.
+
+    Majorant: q = sinh(h(1 - 2x)) / sinh(h(1 + 2x)) with h = L/4, so
+    c_j = -2 (2h)^j F^(j)(h) / j! with F = log sinh.  coth's partial fractions
+    give |F^(j)(h)| / j! <= (h^-j + h^(1-j)) / j for j >= 2, and c_1 is
+    -4h coth(h), so K = 1 + h.
+
+    Float error: L rounds within 2u, d within (4 + L)u (its own ulp plus
+    L's error times expm1's condition 1 + L/2), L^k / k! within 4k u, so each
+    input of _series_log within (4k + 7 + L)u.  g_k sums products of at most
+    k inputs whose orders add to k, so the inputs move it by at most
+    k (11 + L) u and the recurrence's rounding by k (k + 7)/2 u, relative to
+    its magnitude: k (L + k + 15) u in all.
+    """
+    L = math.log(R)
+    s = math.sqrt(R)
+    d = math.expm1(L / 2.0)
+    powers = [0.0, L]  # L^k / k!
+    for k in range(2, _ORDERS[-1] + 1):
+        powers.append(powers[-1] * L / k)
+    first, first_mag = _series_log([-p / d for p in powers])
+    second, second_mag = _series_log([s * p / d for p in powers])
+    coeffs = tuple(first[j] - second[j] for j in _ORDERS)
+    errors = tuple(j * (L + j + 15.0) * _U * (first_mag[j] + second_mag[j]) + _U * abs(c)
+                   for j, c in zip(_ORDERS, coeffs))
+    return _Series(coeffs, errors, 1.0 + L / 4.0)
+
+
+@lru_cache(maxsize=None)
+def _power_sums(n: int) -> Tuple[Tuple[float, float, float], ...]:
+    """(S_j, M_j, E_j) for each j of _ORDERS, with a = 2^n and b = 2a - 1:
+    S_j = sum_{m=a}^{b} m^-j by Euler-Maclaurin with the B2, B4 and B6 terms
+    (NIST DLMF 2.10.1), M_j the sum of its terms' magnitudes, and E_j a bound
+    on its remainder.
+
+    The derivatives of m^-j keep one sign, so the remainder is at most
+    2 |B8| / 8! |f^(7)(b) - f^(7)(a)| <= j (j+1) ... (j+6) a^-(j+7) / 604800.
+    Each term rounds within 5u: b / a = 2 - 2^-n is exact, a^(1-j) is a power
+    of 2, and math.fsum rounds once.
+    """
+    a = 2.0 ** n
+    b = 2.0 * a - 1.0
+    sums = []
+    for j in _ORDERS:
+        terms = [math.log(b / a) if j == 1 else (a ** (1 - j) - b ** (1 - j)) / (j - 1),
+                 0.5 * (a ** -j + b ** -j)]
+        rising = j  # j (j+1) ... (j+p-1): f^(p)(m) = -rising m^-(j+p)
+        for p, bernoulli in zip((1, 3, 5), (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0)):
+            terms.append(bernoulli * rising * (a ** -(j + p) - b ** -(j + p)))
+            rising *= (j + p) * (j + p + 1)
+        sums.append((math.fsum(terms), sum(map(abs, terms)), rising * a ** -(j + 7) / 604800.0))
+    return tuple(sums)
+
+
+def _series_block(series: _Series, n: int) -> Tuple[float, float]:
+    """Block n's sum of the series' function, and a radius that bounds its
+    error: the orders past _ORDERS (at most K 2^(j+1) / j a^(1-j) each, with
+    a = 2^n), the Euler-Maclaurin remainders, each coefficient's error, and
+    16u of the magnitude per order for the power sums and the products."""
+    sums = _power_sums(n)
+    value = math.fsum(c * s for c, (s, _, _) in zip(series.coeffs, sums))
+    a = 2.0 ** n
+    j = _ORDERS[-1] + 2
+    radius = 2.0 * series.scale / j * a * (2.0 / a) ** j / (1.0 - (2.0 / a) ** 2)
+    for c, e, (_, mag, rem) in zip(series.coeffs, series.errors, sums):
+        radius += (abs(c) + e) * rem + (e + 16.0 * _U * abs(c)) * mag
+    return value, radius
+
+
+class _Blocks(NamedTuple):
+    """Block sums n = 1..n_max, and the radius of each: 0 for a head block,
+    summed term by term, and the _series_block radius for a longer one."""
+
+    sums: Tuple[float, ...]
+    radii: Tuple[float, ...]
+
+
+def _block_sums(terms, series: _Series, n_max: int) -> _Blocks:
+    """Sums of f(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max, where
+    terms(ms) evaluates f and series is its power series in 1/m.
+
+    A head block (n <= _HEAD_N) is one np.sum of terms over the block; a
+    longer block is the series summed in closed form (_series_block).
+    """
+    blocks = [(float(np.sum(terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float)))), 0.0)
+              if n <= _HEAD_N else _series_block(series, n)
+              for n in range(1, n_max + 1)]
+    return _Blocks(*map(tuple, zip(*blocks)))
 
 
 def _log_moduli(ms: np.ndarray) -> np.ndarray:
     """log|x(m)| = -atanh(sin(pi/m)), exactly -inf at m = 2; the log-tan form
     would add math.pi's rounding near pi/4 to every term of a block."""
-    return _log_moduli_of_sin(np.sin(math.pi / ms))
+    with np.errstate(divide="ignore"):
+        return -np.arctanh(np.sin(math.pi / ms))
+
+
+def _log_quotients(R: float, ms: np.ndarray) -> np.ndarray:
+    """log lower_bound_quotient(R, ms) without cancellation:
+    log1p(-(sqrt(R) + 1)(p - 1) / (sqrt(R) p - 1)) with p - 1 = expm1(ln R / m)
+    and sqrt(R) p - 1 = sqrt(R)(p - 1) + expm1(ln R / 2).  Both expm1 come from
+    numpy, which may round apart from math.expm1, so at m = 2 they are one
+    float, the ratio is 1 and the log is exactly -inf."""
+    L = math.log(R)
+    s = math.sqrt(R)
+    pm1 = np.expm1(L / ms)
+    sp = s * pm1
+    with np.errstate(divide="ignore"):
+        return np.log1p(-(sp + pm1) / (sp + float(np.expm1(L / 2.0))))
 
 
 @lru_cache(maxsize=None)
-def _block_log_moduli(n_max: int) -> Tuple[float, ...]:
-    """Block sums of log|x(m)|: R-free, so every block sweep shares them.
-    Slices the m1 sweep has summed are read, not evaluated."""
-    return _block_sums(_log_moduli, n_max, _handed_sums(None))
+def _block_log_moduli(n_max: int) -> _Blocks:
+    """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
+    return _block_sums(_log_moduli, _MODULUS_SERIES, n_max)
 
 
 def _check_m_max(m_max: int, least: int) -> None:
@@ -304,15 +399,12 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     found = {}
     elementary_ok = True
     scan = _SuffixScan(2)
-    table = _handed_sums(None)
-    for ms, lo in _table_walk(2, m_max):
+    for ms in _slices(2, m_max):
         t = math.pi / ms
         # preimage_moduli(ms) bit for bit, without its range check: halving
         # is exact, so fl(pi/m) * 0.5 = fl(pi/(2m)).
         x = np.tan(math.pi / 4.0 - t * 0.5)
         s = np.sin(t)
-        if lo is not None and lo not in table:
-            table[lo] = float(np.sum(_log_moduli_of_sin(s)))
         one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
 
         ms_plus_1 = ms + 1.0
@@ -400,16 +492,13 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     found = {}
     positivity_ok = True
     scan = _SuffixScan(3)
-    chain = _handed_sums(R)
-    for ms, lo in _table_walk(3, m_max):
+    for ms in _slices(3, m_max):
         q, tau_ms = _quotient_and_tau(R, ms)
         rhs = 1.0 - consts.K_of_R / ms
         margin = q - rhs
         positivity_ok &= bool(q.min() > 0.0)  # a NaN fails it, as in np.all(q > 0)
         scan.feed((margin >= -EPS_ALGEBRAIC) & (tau_ms >= tau_floor - EPS_ALGEBRAIC), margin)
         _take_samples(found, ms, q, rhs, picks)
-        if lo is not None and lo not in chain:
-            chain[lo] = float(np.sum(_log0(q)))  # q's last use: _log0 may overwrite it
     m2, worst = scan.result()
 
     notes = [f"K(R)={consts.K_of_R:.12g}"]
@@ -461,25 +550,31 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     Products run in log space.  The lower product uses the closed-form
     radial-quotient member of the annulus lower-bound family, which already
     certifies.  Reports the least n from which every link holds through
-    n_max, with per-link margins (log scale).
+    n_max, with per-link margins (log scale).  Each link is taken with the
+    radii of its block sums subtracted, so a closed-form block only passes
+    where every value within its radius does.
     """
     _check_n_max(n_max)
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    lower = _block_sums(lambda ms: _log0(lower_bound_quotient(R, ms)), n_max, _handed_sums(R))
+    lower = _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), n_max)
     upper = _block_log_moduli(n_max)
 
     ok_rows = []
     margins = []
     samples = []
-    for n, mid_lower, mid_upper in zip(range(1, n_max + 1), lower, upper):
+    for n, mid_lower, lower_r, mid_upper, upper_r in zip(
+        range(1, n_max + 1), lower.sums, lower.radii, upper.sums, upper.radii
+    ):
         base = 1.0 - K / 2 ** n
         # Even exponent: a negative base still yields a positive product,
         # so the left endpoint is compared through |base|.
         left = 2 ** n * math.log(abs(base)) if base != 0.0 else -math.inf
         right = 2 ** n * math.log(1.0 - 2.0 / 2 ** (n + 1))
-        links = (mid_lower - left, mid_upper - mid_lower, right - mid_upper)
+        links = (mid_lower - lower_r - left,
+                 (mid_upper - upper_r) - (mid_lower + lower_r),
+                 right - mid_upper - upper_r)
         # The n=1 block contains |x(2)| = 0, driving its log-product to
         # -inf; margins are clamped so reports stay finite.
         ok_rows.append(all(l >= -EPS_ALGEBRAIC for l in links) and base > 0.0)
@@ -529,8 +624,9 @@ def verify_one_over_e_products(R: float, n_max: int) -> SweepResult:
     ok_rows = []
     margins = []
     samples = []
-    for n, log_prod in enumerate(_block_log_moduli(n_max), start=1):
-        margin = -1.0 - log_prod  # log(1/e) - log(product)
+    table = _block_log_moduli(n_max)
+    for n, log_prod, radius in zip(range(1, n_max + 1), table.sums, table.radii):
+        margin = -1.0 - log_prod - radius  # log(1/e) - log(product), outward
         ok_rows.append(margin >= -EPS_ALGEBRAIC)
         # |x(2)| = 0 makes the n=1 margin +inf; clamp to keep reports finite.
         margins.append(min(margin, 1e12))

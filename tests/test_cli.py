@@ -23,7 +23,7 @@ from caralab import (
 )
 from caralab import glued
 from caralab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main, render_json
-from caralab.sweeps import _block_log_moduli, _handed_sums
+from caralab.sweeps import _block_log_moduli
 
 # Fast settings: sweep ranges for verify-lemmas, a small test-map family for
 # the commands that bound distances.
@@ -85,7 +85,6 @@ class TestVerifyLemmas:
     def test_block_table_is_computed_once(self, capsys):
         # Both block sweeps at every radius read one R-free table.
         _block_log_moduli.cache_clear()
-        _handed_sums.cache_clear()
         code, _, _ = run(capsys, ["verify-lemmas", *SWEEP, "--R", "1.5", "--R", "4", "--R", "10"])
         assert code == EXIT_OK
         info = _block_log_moduli.cache_info()

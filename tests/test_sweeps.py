@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -17,21 +18,23 @@ from caralab import (
     verify_upper_bound_sweep,
 )
 from caralab import sweeps
+from caralab.cli import EXIT_OK, main
 from caralab.sweeps import (
     EPS_ALGEBRAIC,
     ONE_OVER_E_N0,
     _CHUNK,
-    _MEMO_RADII,
-    _N_LIMIT,
+    _HEAD_N,
+    _MODULUS_SERIES,
+    _ORDERS,
     _SuffixScan,
     _block_log_moduli,
     _block_sums,
-    _handed_sums,
-    _log0,
     _log_moduli,
+    _log_quotient_series,
+    _log_quotients,
     _quotient_and_tau,
+    _series_block,
     _slices,
-    _table_walk,
     check_lemma_ranges,
     lower_bound_quotient,
     tau,
@@ -260,9 +263,8 @@ class TestSliceWalk:
 
 
 def clear_sweep_state():
-    """Forget every block table and every handed slice sum."""
+    """Forget the block table."""
     _block_log_moduli.cache_clear()
-    _handed_sums.cache_clear()
 
 
 def block_results(R, n_max):
@@ -277,8 +279,8 @@ _FROM_SCRATCH = {}
 
 
 def block_results_from_scratch(R, n_max):
-    """block_results from a cleared state, in which no sweep has handed over
-    any slice sum; computed once per (R, n_max)."""
+    """block_results from a cleared state, in which no other sweep has run;
+    computed once per (R, n_max)."""
     if (R, n_max) not in _FROM_SCRATCH:
         clear_sweep_state()
         _FROM_SCRATCH[R, n_max] = block_results(R, n_max)
@@ -303,7 +305,7 @@ RADII = [1.5, 4.0, 10.0, 1e6]
 
 
 class TestSharedSliceSums:
-    # The m1 and m2 sweeps hand their slice sums to the block table and the
+    # The m1 and m2 sweeps share no state with the block table and the
     # chain; no result may depend on whether they ran first.
     @pytest.mark.parametrize("n_max", [12, 20])
     @pytest.mark.parametrize("m_max", SLICE_EDGES + [10 ** 6, 20_000, 8])
@@ -326,51 +328,6 @@ class TestSharedSliceSums:
         verify_lower_bound_sweep(R, 10 ** 6)
         _block_log_moduli.cache_clear()
         assert block_results(R, 20) == expected
-
-    def test_chain_evaluates_only_the_indices_m2_did_not(self, monkeypatch):
-        clear_sweep_state()
-        verify_lower_bound_sweep(4.0, 10 ** 6)
-        counted = count_indices(monkeypatch, "lower_bound_quotient")
-        verify_final_chain(4.0, 20)
-        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
-
-    def test_table_evaluates_only_the_indices_m1_did_not(self, monkeypatch):
-        clear_sweep_state()
-        verify_upper_bound_sweep(10 ** 6)
-        counted = count_indices(monkeypatch, "_log_moduli")
-        _block_log_moduli(20)
-        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
-
-    def test_memo_stays_bounded(self):
-        clear_sweep_state()
-        radii = [1.5 + k for k in range(20)]
-        chains = []
-        for R in radii:
-            verify_lower_bound_sweep(R, 3 * _CHUNK)
-            chains.append(repr(verify_final_chain(R, 16).to_dict()))
-        info = _handed_sums.cache_info()
-        assert info.currsize == info.maxsize == _MEMO_RADII + 1
-        # The first radius was let go, and its chain reads the same again.
-        assert repr(verify_final_chain(radii[0], 16).to_dict()) == chains[0]
-
-    def test_a_key_holds_at_most_one_sum_per_table_slice(self):
-        table_slices = sum(1 for n in range(1, _N_LIMIT + 1)
-                           for _ in range(2 ** n, 2 ** (n + 1), _CHUNK))
-        walked = [lo for _, lo in _table_walk(2, 2 ** (_N_LIMIT + 1) + _CHUNK)]
-        assert len(walked) == table_slices + 2
-        assert walked[-2:] == [None, None]  # past the table's last block
-        assert len(set(walked[:-2])) == table_slices
-
-    @pytest.mark.parametrize("start, stop", [(2, 3), (3, 8), (2, 5 * _CHUNK + 7), (3, 2 ** 15)])
-    def test_table_walk_covers_the_range_in_block_slices(self, start, stop):
-        walked = [(ms.copy(), lo) for ms, lo in _table_walk(start, stop)]
-        ms = np.concatenate([m for m, _ in walked])
-        assert ms.tobytes() == np.arange(start, stop + 1, dtype=float).tobytes()
-        for m, lo in walked:
-            n = int(m[0]).bit_length() - 1
-            assert int(m[-1]).bit_length() - 1 == n  # one block per slice
-            whole = (int(m[0]) - 2 ** n) % _CHUNK == 0 and len(m) == min(_CHUNK, 2 ** (n + 1) - m[0])
-            assert lo == (int(m[0]) if whole else None)
 
     def test_m1_moduli_are_preimage_moduli(self):
         # The m1 sweep takes tan's argument from pi/m: fl(pi/(2m)) = fl(pi/m)/2.
@@ -556,7 +513,7 @@ class TestOneOverEProducts:
     def test_the_analytic_block_bound_covers_the_table(self):
         # ONE_OVER_E_N0's proof: block n >= 2, N = 2^n, has log-product at
         # most -pi ln 2 + pi^3 / (6 N^2), and that bound is below -1.
-        table = _block_log_moduli(24)
+        table = _block_log_moduli(24).sums
         assert table[0] == -math.inf
         for n, log_prod in enumerate(table[1:], start=2):
             bound = -math.pi * math.log(2.0) + math.pi ** 3 / (6.0 * 4.0 ** n)
@@ -569,7 +526,7 @@ class TestOneOverEProducts:
 
 class TestBlockLogModuli:
     def test_block_sums_match_direct_logs(self):
-        table = _block_log_moduli(12)
+        table = _block_log_moduli(12).sums
         assert len(table) == 12
         for n, block_sum in enumerate(table, start=1):
             ms = np.arange(2 ** n, 2 ** (n + 1))
@@ -597,29 +554,149 @@ class TestBlockLogModuli:
             coefficients = {1: 1, 3: mpmath.mpf(1) / 6, 5: mpmath.mpf(1) / 24,
                             7: mpmath.mpf(61) / 5040}
             exact = -mpmath.fsum(c * mpmath.pi ** k * sums[k] for k, c in coefficients.items())
-            assert abs(_block_log_moduli(16)[15] - exact) <= 1e-13
+            assert abs(_block_log_moduli(16).sums[15] - exact) <= 1e-13
 
     def test_shorter_table_is_a_bitwise_prefix(self):
-        assert _block_log_moduli(20)[:12] == _block_log_moduli(12)
+        assert _block_log_moduli(20).sums[:12] == _block_log_moduli(12).sums
 
     @pytest.mark.parametrize(
-        "f",
-        [preimage_moduli, lambda ms: lower_bound_quotient(4.0, ms)],
+        "terms, series",
+        [(_log_moduli, _MODULUS_SERIES),
+         (lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0))],
         ids=["moduli", "lower-quotient"],
     )
-    def test_sliced_blocks_match_whole_block_sums(self, f):
-        # Blocks of more than _CHUNK = 2^13 indices are summed slice by slice.
-        for n, block_sum in enumerate(_block_sums(lambda ms: _log0(f(ms)), 20), start=1):
-            if n > 12:
-                whole = float(np.sum(np.log(f(np.arange(2 ** n, 2 ** (n + 1))))))
-                assert block_sum == pytest.approx(whole, rel=1e-14)
+    def test_sliced_blocks_match_whole_block_sums(self, terms, series):
+        # Blocks of more than _CHUNK = 2^13 indices are summed in closed form;
+        # they agree with a float sum of every term of the block.
+        blocks = _block_sums(terms, series, 20)
+        for n, block_sum in enumerate(blocks.sums[_HEAD_N:], start=_HEAD_N + 1):
+            whole = float(np.sum(terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float))))
+            assert block_sum == pytest.approx(whole, rel=1e-14)
 
-    def test_guarded_log(self):
-        v = np.array([0.0, -1.0, 0.5, 2.0])
-        with np.errstate(all="raise"):
-            out = _log0(v)
-        assert out[0] == out[1] == -math.inf
-        assert out[2:].tolist() == np.log(v[2:]).tolist()
+
+THIN_TO_WIDE = [1.0 + 1e-6, 1.02, 1.5, 4.0, 10.0, 1e3, 1e6]
+LONG_BLOCKS = [14, 16, 20, 24]
+TAYLOR_ORDER = 15
+
+
+@functools.lru_cache(maxsize=None)
+def taylor_coefficients(R):
+    """40-digit Taylor coefficients in x = 1/m, through x^TAYLOR_ORDER, of
+    log|x(m)| = -atanh(sin(pi x)) (R None) or of log q_R(m), from mpmath's
+    own differentiation of the function, independent of caralab's series."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if R is None:
+            return mpmath.taylor(lambda x: -mpmath.atanh(mpmath.sin(mpmath.pi * x)), 0, TAYLOR_ORDER)
+        R = mpmath.mpf(R)
+        s = mpmath.sqrt(R)
+        return mpmath.taylor(lambda x: mpmath.log((s - R ** x) / (s * R ** x - 1)), 0, TAYLOR_ORDER)
+
+
+def reference_block(R, n):
+    """40-digit block n sum of the function of taylor_coefficients(R): sum 1/m
+    is a digamma difference and sum 1/m^j a Hurwitz zeta difference.  From
+    N = 2^n >= 2^10 on, the orders dropped add up to below 1e-40."""
+    mpmath = pytest.importorskip("mpmath")
+    N = 2 ** n
+    with mpmath.workdps(40):
+        power_sums = [0, mpmath.digamma(2 * N) - mpmath.digamma(N)] + [
+            mpmath.zeta(j, N) - mpmath.zeta(j, 2 * N) for j in range(2, TAYLOR_ORDER + 1)]
+        return mpmath.fsum(c * p for c, p in zip(taylor_coefficients(R), power_sums))
+
+
+def series_of(R):
+    return _MODULUS_SERIES if R is None else _log_quotient_series(R)
+
+
+class TestClosedFormBlocks:
+    # Blocks n > _HEAD_N are value +- radius; the reference must lie inside.
+    @pytest.mark.parametrize("n", LONG_BLOCKS)
+    @pytest.mark.parametrize("R", [None] + THIN_TO_WIDE, ids=lambda R: "moduli" if R is None else f"q{R}")
+    def test_the_40_digit_sum_lies_within_the_radius(self, R, n):
+        value, radius = _series_block(series_of(R), n)
+        reference = reference_block(R, n)
+        assert abs(value - reference) <= radius <= 1e-14 * abs(value)
+
+    @pytest.mark.parametrize("R", [None] + THIN_TO_WIDE, ids=lambda R: "moduli" if R is None else f"q{R}")
+    def test_the_series_is_odd_and_its_coefficients_hold(self, R):
+        exact = taylor_coefficients(R)
+        series = series_of(R)
+        # Odd: the even coefficients vanish, as q(-x) = 1/q(x) and
+        # atanh(sin(-y)) = -atanh(sin(y)).
+        assert all(abs(exact[j]) <= 1e-30 for j in range(0, TAYLOR_ORDER + 1, 2))
+        for j, c, e in zip(_ORDERS, series.coeffs, series.errors):
+            assert abs(c - exact[j]) <= e
+        # The majorant that bounds the dropped orders.
+        for j in range(1, TAYLOR_ORDER + 1, 2):
+            assert abs(exact[j]) <= series.scale * 2 ** (j + 1) / j
+
+    @pytest.mark.parametrize("R", THIN_TO_WIDE)
+    def test_the_chain_head_blocks_are_cancellation_free(self, R):
+        # log1p(-(sqrt(R) + 1)(p - 1) / (sqrt(R) p - 1)): the log of the
+        # quotient was off by up to 2.4e-7 relative at R = 1 + 1e-6, block 13.
+        for n in (12, _HEAD_N):
+            block = float(np.sum(_log_quotients(R, np.arange(2 ** n, 2 ** (n + 1), dtype=float))))
+            reference = reference_block(R, n)
+            assert abs(block - reference) <= 1e-15 * abs(block)
+
+    @pytest.mark.parametrize("R", THIN_TO_WIDE)
+    def test_the_quotient_vanishes_at_m_2(self, R):
+        assert _log_quotients(R, np.arange(2.0, 4.0))[0] == -math.inf
+        assert _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), 1).sums == (-math.inf,)
+
+    def test_a_default_run_evaluates_only_the_head_blocks(self, monkeypatch, capsys):
+        counted = {}
+        quotients, moduli = sweeps._log_quotients, sweeps._log_moduli
+
+        def count(key, ms):
+            counted[key] = counted.get(key, 0) + np.size(ms)
+
+        def counting_quotients(R, ms):
+            count(R, ms)
+            return quotients(R, ms)
+
+        def counting_moduli(ms):
+            count("table", ms)
+            return moduli(ms)
+
+        monkeypatch.setattr(sweeps, "_log_quotients", counting_quotients)
+        monkeypatch.setattr(sweeps, "_log_moduli", counting_moduli)
+        _block_log_moduli.cache_clear()
+        assert main(["verify-lemmas", "--R", "1.5", "--R", "4", "--R", "10"]) == EXIT_OK
+        capsys.readouterr()
+        assert counted == {key: 2 ** 14 - 2 for key in (1.5, 4.0, 10.0, "table")}
+
+    def test_the_margins_subtract_the_radii(self, monkeypatch):
+        table = _block_log_moduli(20)
+        assert verify_one_over_e_products(4.0, 20).worst_margin == min(
+            min(-1.0 - s - r, 1e12) for s, r in zip(table.sums, table.radii))
+        assert all(r > 0.0 for r in table.radii[_HEAD_N:]) and not any(table.radii[:_HEAD_N])
+
+        lower = _block_sums(lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0), 20)
+        radius = {}
+
+        def marked(series, n):
+            return _series_block(series, n)[0], radius[series is _MODULUS_SERIES]
+
+        monkeypatch.setattr(sweeps, "_series_block", marked)
+        try:
+            # The chain's worst link, lower <= upper at block 20, loses both
+            # radii.
+            radius.update({True: 0.125, False: 0.25})
+            _block_log_moduli.cache_clear()
+            assert verify_final_chain(4.0, 20).worst_margin == (
+                (table.sums[19] - 0.125) - (lower.sums[19] + 0.25))
+            # A radius wider than every margin fails every closed-form block.
+            radius.update({True: 10.0, False: 10.0})
+            _block_log_moduli.cache_clear()
+            for R in (1.5, 4.0, 10.0):
+                chain, n0 = verify_final_chain(R, 20), verify_one_over_e_products(R, 20)
+                assert (chain.threshold_found, n0.threshold_found) == (None, None)
+                assert n0.worst_margin == min(-11.0 - s for s in table.sums[_HEAD_N:])
+                assert verify_final_chain(R, _HEAD_N).passed
+        finally:
+            _block_log_moduli.cache_clear()
 
 
 class TestDeterminismAndSerialization:
@@ -636,7 +713,6 @@ class TestDeterminismAndSerialization:
 
         warm = run()
         _block_log_moduli.cache_clear()
-        _handed_sums.cache_clear()
         assert run() == warm
         assert _block_log_moduli.cache_info().misses == 1
 
