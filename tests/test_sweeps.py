@@ -329,6 +329,25 @@ class TestSharedSliceSums:
         _block_log_moduli.cache_clear()
         assert block_results(R, 20) == expected
 
+    # The chain and the table sum their blocks past _HEAD_N in closed form,
+    # so after m2 (or m1) ran to 10^6 they evaluate no more indices than
+    # the sweep left undone: only the head blocks, m = 2 .. 2^(_HEAD_N + 1) - 1.
+    def test_chain_evaluates_only_the_indices_m2_did_not(self, monkeypatch):
+        clear_sweep_state()
+        verify_lower_bound_sweep(4.0, 10 ** 6)
+        counted = count_indices(monkeypatch, "_log_quotients")
+        verify_final_chain(4.0, 20)
+        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
+        assert sum(counted) == 2 ** (_HEAD_N + 1) - 2
+
+    def test_table_evaluates_only_the_indices_m1_did_not(self, monkeypatch):
+        clear_sweep_state()
+        verify_upper_bound_sweep(10 ** 6)
+        counted = count_indices(monkeypatch, "_log_moduli")
+        _block_log_moduli(20)
+        assert 0 < sum(counted) <= 2 ** 21 - 10 ** 6 + _CHUNK
+        assert sum(counted) == 2 ** (_HEAD_N + 1) - 2
+
     def test_m1_moduli_are_preimage_moduli(self):
         # The m1 sweep takes tan's argument from pi/m: fl(pi/(2m)) = fl(pi/m)/2.
         ms = np.arange(2, 2 ** 21, dtype=float)
