@@ -151,7 +151,7 @@ def cmd_verify_lemmas(args) -> int:
         sweeps.append(verify_lower_bound_sweep(R, args.m_max).to_dict())
         sweeps.append(verify_final_chain(R, args.n_max).to_dict())
         sweeps.append(verify_one_over_e_products(R, args.n_max).to_dict())
-    print(f"[timing] sweeps: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    print(f"[timing] sweeps: {1e3 * (time.perf_counter() - t0):.3g} ms", file=sys.stderr)
 
     document = _document(args, "verify-lemmas", sweeps=sweeps)
     _emit(args, document, _sweeps_to_csv(sweeps) if args.format == "csv" else None)

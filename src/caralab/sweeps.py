@@ -3,21 +3,34 @@
 Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
-The m1 and m2 sweeps walk their ranges in slices of at most _CHUNK indices
-(_slices), so peak memory does not grow with m_max, and stream every
-threshold and worst margin through a _SuffixScan.
+
+The m1 and m2 sweeps evaluate their head, the first _CHUNK indices, and
+stream every threshold and worst margin through a _SuffixScan.  Their tail,
+from H = start + _CHUNK on, is certified a priori (_window_start): past the
+head the margin is a smooth function of y = 1/m that falls to 0 with slope
+at least c in y, so it drops by at least c/(m(m-1)) from m-1 to m, and each
+float margin lies within an a priori E of it, taking numpy's elementary
+functions within _ULPS ulps.  Up to the last m with c/(m(m-1)) > 2E the
+float margins fall strictly, so on [H, w) they all pass and lie above the
+float margin at w; the scan takes that run whole (_SuffixScan.feed_run), and
+the sweep evaluates only the window [w, m_max], where the floats may
+round out of order.  At the default radii that window is m_max alone; at
+R = 1 + 1e-6 it is nearly the whole range.  One-sided checks on the head's
+last margins cover the rest (quad, the quotient, tau), and where one fails
+the sweep evaluates the whole tail, as without the certificate.
 
 The chain and 1/e sweeps read sums over the blocks m = 2^n .. 2^(n+1)-1
 (_block_sums).  A head block, n <= _HEAD_N, fits in one slice and is one
-np.sum of its terms: a plain float sum, with radius 0.  Every longer block is
-summed in closed form (_series_block).  Both summands, log|x(m)| and the
-chain's log q_R(m), are odd power series in x = 1/m with radius of
-convergence 1/2, and Euler-Maclaurin gives each power sum over the block.
-Such a block sum is a value plus an a priori error radius, which covers the
-dropped orders of the series, the Euler-Maclaurin remainder and the float
-evaluation; the block sweeps subtract it outward in every link and margin.
-So the table and the chain at each radius evaluate 2^14 - 2 indices each,
-whatever n_max.
+np.sum of its terms, with an a priori radius for that sum and for the terms'
+own float errors.  Every longer block is summed in closed form
+(_series_block).  Both summands, log|x(m)| and the chain's log q_R(m), are
+odd power series in x = 1/m with radius of convergence 1/2, and
+Euler-Maclaurin gives each power sum over the block.  Such a block sum is a
+value plus an a priori error radius, which covers the dropped orders of the
+series, the Euler-Maclaurin remainder and the float evaluation.  The block
+sweeps subtract every radius outward in every link and margin.  So the
+table and the chain at each radius evaluate 2^14 - 2 indices each, whatever
+n_max.
 """
 
 from __future__ import annotations
@@ -58,6 +71,18 @@ _N_LIMIT = 24
 
 # Unit roundoff of a float.
 _U = 2.0 ** -53
+
+# numpy's float64 exp, expm1, log1p, sin, tan and arctanh, and libm's log and
+# expm1 behind math, return within _ULPS units in the last place of the exact
+# value, so within _ULPS * 2u relative.  The largest error that
+# tests/test_sweeps.py measures on sweep arguments is below 1 ulp; 4 leaves
+# room for other SIMD paths.  Every a priori error bound of this module reads
+# it, as rho = 2 _ULPS u.
+_ULPS = 4
+
+# Factor on each computed bound: it covers the rounding of the few float
+# operations that compute a bound, and the bound's dropped second-order terms.
+_SAFETY = 1.0 + 2.0 ** -20
 
 # The odd powers j of 1/m that a closed-form block sum keeps.
 _ORDERS = (1, 3, 5, 7)
@@ -145,6 +170,13 @@ class _SuffixScan:
             elif after < len(m):
                 self.since_bad = min(self.since_bad, m[after:].min())
         self.stop += ok.size
+
+    def feed_run(self, count: int, least: float) -> None:
+        """Take count > 0 parameters that all pass and whose least margin is
+        least: the same as feed of an all-True slice with that minimum."""
+        self.overall = min(self.overall, least)
+        self.since_bad = min(self.since_bad, least)
+        self.stop += count
 
     def result(self) -> Tuple[Optional[int], float]:
         """The least parameter p such that ok holds from p through the range
@@ -256,6 +288,19 @@ def _log_quotient_series(R: float) -> _Series:
     return _Series(coeffs, errors, 1.0 + L / 4.0)
 
 
+def _majorant(series: _Series, y: float, p: int) -> float:
+    """A bound on |f(y')| (p = 0) or |f'(y')| (p = 1) for 0 <= y' <= y < 1/2,
+    where f is the series' function of y' = 1/m: sum_j (|c_j| + error)
+    j^p y^(j-p) over _ORDERS, and over every larger odd j the majorant
+    K 2^(j+1) j^(p-1) y^(j-p) <= K 2^(p+1) 9^(p-1) (2y)^(j-p), a geometric
+    series in (2y)^2."""
+    known = sum((abs(c) + e) * j ** p * y ** (j - p)
+                for j, c, e in zip(_ORDERS, series.coeffs, series.errors))
+    j = _ORDERS[-1] + 2
+    rest = series.scale * 2.0 ** (p + 1) * j ** (p - 1) * (2.0 * y) ** (j - p) / (1.0 - 4.0 * y * y)
+    return (known + rest) * _SAFETY
+
+
 @lru_cache(maxsize=None)
 def _power_sums(n: int) -> Tuple[Tuple[float, float, float], ...]:
     """(S_j, M_j, E_j) for each j of _ORDERS, with a = 2^n and b = 2a - 1:
@@ -298,22 +343,44 @@ def _series_block(series: _Series, n: int) -> Tuple[float, float]:
 
 
 class _Blocks(NamedTuple):
-    """Block sums n = 1..n_max, and the radius of each: 0 for a head block,
-    summed term by term, and the _series_block radius for a longer one."""
+    """Block sums n = 1..n_max, and the radius of each: the _head_block
+    radius for a block summed term by term, the _series_block radius for a
+    longer one."""
 
     sums: Tuple[float, ...]
     radii: Tuple[float, ...]
 
 
-def _block_sums(terms, series: _Series, n_max: int) -> _Blocks:
+def _head_block(terms, n: int, term_error) -> Tuple[float, float]:
+    """Block n's sum as one np.sum of its terms, and a radius that bounds its
+    error.
+
+    Every term is at most 0 and largest in size at the block's first index,
+    t there, and each is within term_error(t) of the exact term, relative.
+    np.sum adds the 2^n terms pairwise; any order of 2^n - 1 additions is
+    within (2^n - 1)u of the sum of the sizes, here |sum|.  Block 1 holds
+    m = 2, whose term is exactly -inf, and so is its sum: radius 0.  A later
+    block's sum is -inf only where a float term rounds to -inf (R beyond
+    1e64), which gets radius inf.
+    """
+    values = terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float))
+    total = float(np.sum(values))
+    if n == 1:
+        return total, 0.0
+    if not math.isfinite(total):
+        return total, math.inf
+    return total, ((2 ** n - 1) * _U + term_error(-float(values[0]))) * -total * _SAFETY
+
+
+def _block_sums(terms, series: _Series, n_max: int, term_error) -> _Blocks:
     """Sums of f(m) over the blocks m = 2^n .. 2^(n+1)-1, n = 1..n_max, where
-    terms(ms) evaluates f and series is its power series in 1/m.
+    terms(ms) evaluates f, term_error bounds its float error (_head_block)
+    and series is its power series in 1/m.
 
     A head block (n <= _HEAD_N) is one np.sum of terms over the block; a
     longer block is the series summed in closed form (_series_block).
     """
-    blocks = [(float(np.sum(terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float)))), 0.0)
-              if n <= _HEAD_N else _series_block(series, n)
+    blocks = [_head_block(terms, n, term_error) if n <= _HEAD_N else _series_block(series, n)
               for n in range(1, n_max + 1)]
     return _Blocks(*map(tuple, zip(*blocks)))
 
@@ -323,6 +390,19 @@ def _log_moduli(ms: np.ndarray) -> np.ndarray:
     would add math.pi's rounding near pi/4 to every term of a block."""
     with np.errstate(divide="ignore"):
         return -np.arctanh(np.sin(math.pi / ms))
+
+
+def _modulus_term_error(t: float) -> float:
+    """Relative error bound of _log_moduli at m >= 4 where its terms are at
+    most t in size.
+
+    With a = pi/m (within 2u: math.pi, then the division) and z = sin(a)
+    (sin's condition is at most 1), atanh(z) moves by z / (1 - z^2) per
+    unit of z's relative error, which is at most sec(a)^2 = cosh(t)^2 times
+    the term's size gd^-1(a) >= a.
+    """
+    rho = 2.0 * _ULPS * _U
+    return math.cosh(t) ** 2 * (2.0 * _U + rho) + rho
 
 
 def _log_quotients(R: float, ms: np.ndarray) -> np.ndarray:
@@ -339,10 +419,25 @@ def _log_quotients(R: float, ms: np.ndarray) -> np.ndarray:
         return np.log1p(-(sp + pm1) / (sp + float(np.expm1(L / 2.0))))
 
 
+def _quotient_term_error(R: float, t: float) -> float:
+    """Relative error bound of _log_quotients(R, ms) at m >= 4 where its terms
+    are at most t in size.
+
+    Its ratio z = 1 - q is within (10 + L/2)u + (6 + L)rho, L = ln R and rho
+    the _ULPS error: ln R within rho, p - 1 within (1 + L/4)(rho + u) + rho
+    (expm1's condition is at most 1 + L/m), sqrt(R) - 1 within (2 + L/2)rho,
+    and six roundings.  log1p(-z) moves by z/q = e^|log q| - 1 per unit of
+    z's relative error, at most (e^t - 1)/t times the term's size.
+    """
+    L = math.log(R)
+    rho = 2.0 * _ULPS * _U
+    return ((10.0 + L / 2.0) * _U + (6.0 + L) * rho) * math.expm1(t) / t + rho
+
+
 @lru_cache(maxsize=None)
 def _block_log_moduli(n_max: int) -> _Blocks:
     """Block sums of log|x(m)|: R-free, so every block sweep shares them."""
-    return _block_sums(_log_moduli, _MODULUS_SERIES, n_max)
+    return _block_sums(_log_moduli, _MODULUS_SERIES, n_max, _modulus_term_error)
 
 
 def _check_m_max(m_max: int, least: int) -> None:
@@ -388,38 +483,208 @@ def _quotient_and_tau(R: float, ms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return (s - p) / (s * p - 1.0), ms * (s + 1.0) * (1.0 - p)
 
 
+def _upper_terms(ms: np.ndarray):
+    """The m1 sweep's kernel: |x(m)|, the bound 1 - 2/(m+1), and the lin,
+    quad and elem margins at the indices ms."""
+    t = math.pi / ms
+    # preimage_moduli(ms) bit for bit, without its range check: halving
+    # is exact, so fl(pi/m) * 0.5 = fl(pi/(2m)).
+    x = np.tan(math.pi / 4.0 - t * 0.5)
+    s = np.sin(t)
+    one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
+    ms_plus_1 = ms + 1.0
+    lin_rhs = 1.0 - 2.0 / ms_plus_1
+    return (x, lin_rhs, lin_rhs - x, ms_plus_1 * one_minus_sq - 4.0,
+            (1.0 - x) - one_minus_sq * 0.5)
+
+
+def _window_start(tail: int, m_max: int, slope: float, error: float) -> int:
+    """Where a certified walk resumes: a w in [tail, m_max] such that every
+    float margin on [tail, w) passes and lies above the float at w.
+
+    The exact margin is 0 at y = 1/m = 0 and has slope at least `slope` in y
+    on (0, 1/(tail - 1)], so it is positive and falls by at least
+    slope/(m(m-1)) from m - 1 to m.  Each float margin lies within `error`
+    of it.  While m^2 <= slope/(2 error), that fall exceeds 2 error, so the
+    float at m - 1 lies above the float at m, and on [tail, w) every float
+    exceeds the exact margin at w plus error, which is positive.
+    """
+    if not slope > 0.0:
+        return tail
+    last = math.isqrt(int(slope / (2.0 * error * _SAFETY)))
+    return max(tail, min(m_max, last))
+
+
+def _certified_walk(start: int, m_max: int, take, window) -> None:
+    """Walk a sweep's head, the first _CHUNK indices from start, then the
+    window [w, m_max], w = window(tail, *last), where tail = start + _CHUNK
+    and last is what take returned for the head.
+
+    take(ms, run) evaluates one slice and feeds it to the sweep's scan, after
+    the run of certified parameters just before the slice when run > 0.
+    Every sample pick but m_max lies in the head, and m_max ends the window.
+    """
+    tail = start + _CHUNK
+    for ms in _slices(start, min(m_max, tail - 1)):
+        last = take(ms, 0)
+    if tail > m_max:
+        return
+    w = window(tail, *last)
+    run = w - tail
+    for ms in _slices(w, m_max):
+        take(ms, run)
+        run = 0
+
+
+class _UpperBounds(NamedTuple):
+    """The m1 certificate's constants: the slope of lin in y = 1/m, and how
+    far each float margin may lie from the exact one."""
+
+    slope: float
+    lin: float
+    quad: float
+    elem: float
+
+
+def _upper_bounds(y0: float) -> _UpperBounds:
+    """The m1 certificate's constants on m >= 1/y0 >= 8.
+
+    lin(y) = 1 - 2y/(1+y) - x(y) with x(y) = exp(-gd^-1(pi y)) has slope
+    pi sec(pi y) x(y) - 2/(1+y)^2 >= pi (1 - gd^-1(pi y0)) - 2, about pi - 2;
+    the modulus series' majorant bounds gd^-1(pi y0).
+
+    Float errors, rho the _ULPS error: tan's argument pi/4 - pi/(2m) rounds
+    within 2u and tan's slope there is at most 2, so x is within 4u + rho;
+    1 - 2/(m+1) is within 1.25u, and lin within 6u + rho.  sin(pi/m) is
+    within 2u + rho, 1 - x^2 = 2s/(1+s) within 4u + rho, and
+    (m+1)(1 - x^2) <= 2pi(1 + y0) < 7.1, so quad is within 39u + 7.1 rho,
+    42u with the check's own roundings.  1 - x is exact (Sterbenz), so elem
+    is within 7u + 1.5 rho.
+    """
+    rho = 2.0 * _ULPS * _U
+    slope = (math.pi * (1.0 - _majorant(_MODULUS_SERIES, y0, 0)) - 2.0) / _SAFETY
+    return _UpperBounds(slope, (6.0 * _U + rho) * _SAFETY, (42.0 * _U + 7.1 * rho) * _SAFETY,
+                        (7.0 * _U + 1.5 * rho) * _SAFETY)
+
+
+def _upper_window(tail: int, m_max: int, lin_last: float, quad_last: float) -> int:
+    """Where the m1 sweep resumes after a head that ended at tail - 1 with
+    float margins lin_last and quad_last: at _window_start when both checks
+    hold, at tail otherwise.  On the run [tail, w):
+
+    - lin passes and lies above the float lin at w (_window_start);
+    - quad rises in m: d log(quad + 4)/dy < 1 - pi cos(pi y)/(1 + sin(pi y))
+      < 0 for pi y <= 1/2.  So its floats are at least quad_last - 2 E_quad;
+      the check puts that above lin_last + 2 E_lin, and so above lin at w;
+    - elem = (1 - x)^2 / 2 and x <= e^(-pi/m), so elem is at least
+      expm1(-pi/w)^2 / 2; the check keeps that minus E_elem at -EPS_ALGEBRAIC
+      or above.
+    """
+    bounds = _upper_bounds(1.0 / (tail - 1))
+    w = _window_start(tail, m_max, bounds.slope, bounds.lin)
+    elem_least = 0.5 * math.expm1(-math.pi / w) ** 2 / _SAFETY
+    if (quad_last - 2.0 * bounds.quad < lin_last + 2.0 * bounds.lin
+            or elem_least - bounds.elem < -EPS_ALGEBRAIC):
+        return tail
+    return w
+
+
+class _LowerBounds(NamedTuple):
+    """The m2 certificate's constants: the slope of the margin in y = 1/m,
+    how far each float margin and quotient may lie from the exact one, and
+    tau's error tau_fixed + m tau_per_m at index m."""
+
+    slope: float
+    margin: float
+    quotient: float
+    tau_fixed: float
+    tau_per_m: float
+
+
+def _lower_bounds(R: float, K: float, y0: float) -> _LowerBounds:
+    """The m2 certificate's constants on m >= 1/y0 >= 8, for the margin
+    q - (1 - K/m) with K the float K(R).
+
+    With g = log q_R, the margin's slope in y is K + g'(y) q(y) >= K - |g'(y)|
+    as 0 < q <= 1, about K/2 = 4h coth(h) with h = ln R / 4; the quotient
+    series' majorant bounds |g'|.
+
+    Float errors, L = ln R, s = sqrt(R), rho the _ULPS error: p = R^(1/m) <=
+    e^(L y0) is within alpha = (rho + 1.01u) L y0 + rho relative (ln R / m
+    within rho + u, then exp); s - p within (u + alpha) s + u (s - p) against
+    s - p >= s - e^(L y0); s p - 1 within (2u + alpha) s p + u (s p - 1)
+    against s p - 1 >= (s - 1) p.  So q <= 1 is within E_q, the two relative
+    errors plus 3u, which grows like s/(s - 1).  1 - K/m is within
+    u (1 + K y0), and the margin, at most K y0, rounds within u (1 + K y0).
+    tau = m (s + 1)(1 - p): 1 - p is exact (Sterbenz) from p within
+    alpha p, and four roundings and the check's own move tau, at most
+    (s + 1) L p in size, by 8u of it.
+    """
+    L = math.log(R)
+    s = math.sqrt(R)
+    rho = 2.0 * _ULPS * _U
+    slope = (K - _majorant(_log_quotient_series(R), y0, 1)) / _SAFETY
+    alpha = (rho + 1.01 * _U) * L * y0 + rho
+    d = math.expm1(L / 2.0)  # s - 1
+    gap = (d - math.expm1(L * y0)) / _SAFETY  # s - e^(L y0)
+    quotient = ((_U + alpha) * s / gap + (2.0 * _U + alpha) * s / d + 3.0 * _U) * _SAFETY
+    margin = (quotient + 2.0 * _U * (1.0 + K * y0)) * _SAFETY
+    tau_scale = (s + 1.0) * math.exp(L * y0) * _SAFETY ** 2
+    return _LowerBounds(slope, margin, quotient, tau_scale * 8.0 * _U * L, tau_scale * alpha)
+
+
+def _lower_window(R: float, K: float, tau_least: float, tail: int, m_max: int,
+                  q_last: float, tau_last: float) -> int:
+    """Where the m2 sweep resumes after a head that ended at tail - 1 with
+    float q_last and tau_last: at _window_start when both checks hold, at
+    tail otherwise.  tau_least is the float each tau must reach.  On the run
+    [tail, w):
+
+    - the margin passes and lies above the float margin at w (_window_start);
+    - q rises in m, so its floats are at least q_last - 2 E_q; the check puts
+      that above 0;
+    - tau = -(s + 1) L (e^v - 1)/v with v = L/m rises in m, so its floats are
+      at least tau_last - E_tau(tail - 1) - E_tau(w); the check puts that at
+      tau_least or above.
+    """
+    bounds = _lower_bounds(R, K, 1.0 / (tail - 1))
+    w = _window_start(tail, m_max, bounds.slope, bounds.margin)
+    tau_error = 2.0 * bounds.tau_fixed + (tail - 1 + w) * bounds.tau_per_m
+    if q_last <= 2.0 * bounds.quotient or tau_last - tau_error < tau_least:
+        return tail
+    return w
+
+
 def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     """Find the least m1 with |x(m)| <= 1 - 2/(m+1) and (m+1)(1-|x(m)|^2) >= 4
     on [m1, m_max]; also checks (1-|x|^2)/2 <= 1-|x| for every m >= 2.
 
-    R-independent: only the disk moduli |x(m)| are involved.
+    R-independent: only the disk moduli |x(m)| are involved.  The tail past
+    the first _CHUNK indices is certified (_upper_window).
     """
     _check_m_max(m_max, 4)
     picks = [2, 3, 4, 10, 100, m_max]
     found = {}
     elementary_ok = True
     scan = _SuffixScan(2)
-    for ms in _slices(2, m_max):
-        t = math.pi / ms
-        # preimage_moduli(ms) bit for bit, without its range check: halving
-        # is exact, so fl(pi/m) * 0.5 = fl(pi/(2m)).
-        x = np.tan(math.pi / 4.0 - t * 0.5)
-        s = np.sin(t)
-        one_minus_sq = 2.0 * s / (1.0 + s)  # 1 - |x|^2, cancellation-free
 
-        ms_plus_1 = ms + 1.0
-        lin_rhs = 1.0 - 2.0 / ms_plus_1
-        lin_margin = lin_rhs - x
-        quad_margin = ms_plus_1 * one_minus_sq - 4.0
-        elem_margin = (1.0 - x) - one_minus_sq * 0.5
-
+    def take(ms, run):
+        nonlocal elementary_ok
+        x, lin_rhs, lin_margin, quad_margin, elem_margin = _upper_terms(ms)
         # A NaN margin makes min NaN and fails, as in np.all(elem >= -eps).
         elementary_ok &= bool(elem_margin.min() >= -EPS_ALGEBRAIC)
+        if run:
+            # The run's margins lie above this slice's first ones, which the
+            # scan takes next, so these stand in for the run's least.
+            scan.feed_run(run, min(lin_margin[0], quad_margin[0]))
         scan.feed(
             (lin_margin >= -EPS_ALGEBRAIC) & (quad_margin >= -EPS_ALGEBRAIC),
             lin_margin, quad_margin,
         )
         _take_samples(found, ms, x, lin_rhs, picks)
+        return lin_margin[-1], quad_margin[-1]
+
+    _certified_walk(2, m_max, take, lambda tail, *last: _upper_window(tail, m_max, *last))
     m1, worst = scan.result()
 
     passed = elementary_ok and m1 is not None
@@ -482,23 +747,33 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     m2 is the least index past which both the displayed inequality and the
     floor tau(t) >= -(3/2)(sqrt(R)+1) ln R hold through m_max.  Side checks:
     positivity of the quotient for all m >= 3, tau(1e5) within 1% of its
-    limit, and the algebraic factorization of the margin numerator.
+    limit, and the algebraic factorization of the margin numerator.  The
+    tail past the first _CHUNK indices is certified (_lower_window).
     """
     _check_m_max(m_max, 8)
     consts = BoundConstants.for_radius(R)
     s = math.sqrt(R)
-    tau_floor = -1.5 * (s + 1.0) * math.log(R)
+    tau_least = -1.5 * (s + 1.0) * math.log(R) - EPS_ALGEBRAIC
     picks = [3, 4, 10, 100, m_max]
     found = {}
     positivity_ok = True
     scan = _SuffixScan(3)
-    for ms in _slices(3, m_max):
+
+    def take(ms, run):
+        nonlocal positivity_ok
         q, tau_ms = _quotient_and_tau(R, ms)
         rhs = 1.0 - consts.K_of_R / ms
         margin = q - rhs
         positivity_ok &= bool(q.min() > 0.0)  # a NaN fails it, as in np.all(q > 0)
-        scan.feed((margin >= -EPS_ALGEBRAIC) & (tau_ms >= tau_floor - EPS_ALGEBRAIC), margin)
+        if run:
+            # As in the m1 sweep: the margin at w stands in for the run's least.
+            scan.feed_run(run, margin[0])
+        scan.feed((margin >= -EPS_ALGEBRAIC) & (tau_ms >= tau_least), margin)
         _take_samples(found, ms, q, rhs, picks)
+        return q[-1], tau_ms[-1]
+
+    _certified_walk(3, m_max, take, lambda tail, *last: _lower_window(
+        R, consts.K_of_R, tau_least, tail, m_max, *last))
     m2, worst = scan.result()
 
     notes = [f"K(R)={consts.K_of_R:.12g}"]
@@ -558,7 +833,8 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     consts = BoundConstants.for_radius(R)
     K = consts.K_of_R
 
-    lower = _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), n_max)
+    lower = _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), n_max,
+                        lambda t: _quotient_term_error(R, t))
     upper = _block_log_moduli(n_max)
 
     ok_rows = []

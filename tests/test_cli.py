@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -64,7 +65,7 @@ class TestVerifyLemmas:
         names = [s["parameter_name"] for s in doc["sweeps"]]
         assert names == ["m1", "two_pi_limit", "m2(R=4)", "chain_n(R=4)", "n0(R=4)"]
         assert all(s["passed"] for s in doc["sweeps"])
-        assert "[timing]" in err
+        assert re.search(r"^\[timing\] sweeps: [0-9.e+]+ ms$", err, re.MULTILINE)
 
     def test_repeatable_radius_flag(self, capsys):
         code, out, _ = run(capsys, ["verify-lemmas", *SWEEP, "--R", "2", "--R", "10"])

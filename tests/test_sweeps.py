@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import re
@@ -24,6 +25,7 @@ from caralab.sweeps import (
     ONE_OVER_E_N0,
     _CHUNK,
     _HEAD_N,
+    _ULPS,
     _MODULUS_SERIES,
     _ORDERS,
     _SuffixScan,
@@ -32,9 +34,15 @@ from caralab.sweeps import (
     _log_moduli,
     _log_quotient_series,
     _log_quotients,
+    _lower_bounds,
+    _modulus_term_error,
     _quotient_and_tau,
+    _quotient_term_error,
+    _radius_name,
     _series_block,
     _slices,
+    _upper_bounds,
+    _upper_terms,
     check_lemma_ranges,
     lower_bound_quotient,
     tau,
@@ -147,6 +155,26 @@ class TestSuffixScan:
         if expected_threshold is None:
             assert got[1] == -4.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(sliced_flags_and_margins(), st.integers(1, 5), st.integers(0, 10),
+           st.floats(-1e6, 1e6, allow_nan=False), st.integers(0, 40))
+    def test_a_run_is_an_all_pass_slice(self, case, count, start, least, at):
+        # feed_run(count, least) stands for an all-True slice whose margins
+        # have minimum least, wherever it falls among the slices.
+        ok, margins, _ = case
+        at = min(at, len(ok))
+        joined = [np.concatenate([m[:at], np.full(count, least), m[at:]]) for m in margins]
+        expected = whole_array_threshold_and_worst(
+            np.concatenate([ok[:at], np.ones(count, dtype=bool), ok[at:]]), start, *joined)
+        scan = _SuffixScan(start)
+        if at:
+            scan.feed(ok[:at], *(m[:at] for m in margins))
+        scan.feed_run(count, least)
+        if at < len(ok):
+            scan.feed(ok[at:], *(m[at:] for m in margins))
+        assert scan.result() == expected
+        assert scan.stop == start + len(ok) + count
+
 
 def whole_array_upper_sweep(m_max):
     """Reference: the upper-bound sweep over one whole-range array."""
@@ -210,7 +238,7 @@ def whole_array_lower_sweep(R, m_max):
         passed = False
         notes.append(f"numerator factorization identity off by {fact_err:.3e}")
     return {
-        "parameter_name": f"m2(R={R:g})",
+        "parameter_name": f"m2(R={_radius_name(R)})",
         "range": [3, m_max],
         "threshold_found": m2,
         "worst_margin": worst,
@@ -221,17 +249,21 @@ def whole_array_lower_sweep(R, m_max):
 
 
 SLICE_EDGES = [_CHUNK + 1, 2 * _CHUNK + 1, 2 * _CHUNK + 2, 4 * _CHUNK + 2]
+TAIL_RADII = [1.0 + 1e-12, 1.0 + 1e-6, 1.02, 1.5, 4.0, 10.0, 1e6]
 
 
 class TestSliceBoundaries:
     # repr tells -0.0 from 0.0, so equal reprs mean bitwise-equal floats.
-    @pytest.mark.parametrize("m_max", SLICE_EDGES)
+    # Past their head the sweeps certify the tail and walk only its window;
+    # the references walk every index.  At 1 + 1e-12 the window is the
+    # whole tail, at 1 + 1e-6 most of it.
+    @pytest.mark.parametrize("m_max", SLICE_EDGES + [10 ** 6])
     def test_upper_sweep_matches_whole_array_reference(self, m_max):
         got = verify_upper_bound_sweep(m_max).to_dict()
         assert repr(got) == repr(whole_array_upper_sweep(m_max))
 
-    @pytest.mark.parametrize("R", [1.5, 4.0, 1e6])
-    @pytest.mark.parametrize("m_max", SLICE_EDGES)
+    @pytest.mark.parametrize("R", TAIL_RADII)
+    @pytest.mark.parametrize("m_max", SLICE_EDGES + [10 ** 6])
     def test_lower_sweep_matches_whole_array_reference(self, R, m_max):
         got = verify_lower_bound_sweep(R, m_max).to_dict()
         assert repr(got) == repr(whole_array_lower_sweep(R, m_max))
@@ -353,6 +385,180 @@ class TestSharedSliceSums:
         ms = np.arange(2, 2 ** 21, dtype=float)
         t = math.pi / ms
         assert np.tan(math.pi / 4.0 - t / 2.0).tobytes() == preimage_moduli(ms).tobytes()
+
+
+def kernel_counts(monkeypatch):
+    """Count the indices that the m1 and m2 kernels see, keyed "m1" or R."""
+    counted = collections.Counter()
+    upper, lower = sweeps._upper_terms, sweeps._quotient_and_tau
+
+    def counting_upper(ms):
+        counted["m1"] += ms.size
+        return upper(ms)
+
+    def counting_lower(R, ms):
+        counted[R] += ms.size
+        return lower(R, ms)
+
+    monkeypatch.setattr(sweeps, "_upper_terms", counting_upper)
+    monkeypatch.setattr(sweeps, "_quotient_and_tau", counting_lower)
+    return counted
+
+
+def sweep_and_reference(R, m_max):
+    """repr of the m1 (R None) or m2 sweep and of its whole-array reference."""
+    if R is None:
+        return repr(verify_upper_bound_sweep(m_max).to_dict()), repr(whole_array_upper_sweep(m_max))
+    return (repr(verify_lower_bound_sweep(R, m_max).to_dict()),
+            repr(whole_array_lower_sweep(R, m_max)))
+
+
+# m = 1/y for each y the certificates are checked at: the head's last index
+# and on out to 10^8.
+TAIL_INDICES = sorted({_CHUNK + 1, _CHUNK + 2, _CHUNK + 3, 10 ** 4, 12_345, 10 ** 5, 314_159,
+                       10 ** 6, 2_718_281, 10 ** 7, 10 ** 8}
+                      | {int(m) for m in np.geomspace(_CHUNK + 1, 10 ** 8, 120)})
+
+
+def exact_upper_margins(m):
+    """40-digit lin, quad and elem margins of the m1 sweep at m."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.tan(mpmath.pi / 4 - mpmath.pi / (2 * m))
+        return (1 - mpmath.mpf(2) / (m + 1) - x, (m + 1) * (1 - x * x) - 4,
+                (1 - x) - (1 - x * x) / 2)
+
+
+def exact_lower_terms(R, m):
+    """40-digit margin, quotient and tau of the m2 sweep at m, the margin
+    against the float K(R) the sweep reads."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        R_, K = mpmath.mpf(R), mpmath.mpf(BoundConstants.for_radius(R).K_of_R)
+        s, p = mpmath.sqrt(R_), R_ ** (mpmath.mpf(1) / m)
+        q = (s - p) / (s * p - 1)
+        return q - 1 + K / m, q, m * (s + 1) * (1 - p)
+
+
+class TestTailCertificate:
+    def test_a_default_run_evaluates_one_slice_per_sweep(self, monkeypatch, capsys):
+        counted = kernel_counts(monkeypatch)
+        assert main(["verify-lemmas", "--R", "1.5", "--R", "4", "--R", "10"]) == EXIT_OK
+        capsys.readouterr()
+        assert set(counted) == {"m1", 1.5, 4.0, 10.0}
+        assert all(n <= _CHUNK + 8 for n in counted.values())
+
+    def test_a_thin_annulus_walks_its_window(self, monkeypatch):
+        # At R = 1 + 1e-6 the floats round out of order from m ~ 2e4 on.
+        counted = kernel_counts(monkeypatch)
+        verify_lower_bound_sweep(1.0 + 1e-6, 10 ** 6)
+        assert 9 * 10 ** 5 < counted[1.0 + 1e-6] < 10 ** 6 - 2 - _CHUNK
+
+    @pytest.mark.parametrize("R", [None, 1.5, 4.0], ids=["m1", "m2-1.5", "m2-4"])
+    def test_a_window_inside_the_range_matches_the_reference(self, monkeypatch, R):
+        # 2^23 ulps put the window's start near 10^4 to 1.75e4: the sweep
+        # takes [_CHUNK + start, w) as one run and walks [w, 30,000].
+        monkeypatch.setattr(sweeps, "_ULPS", 2 ** 23)
+        counted = kernel_counts(monkeypatch)
+        got, expected = sweep_and_reference(R, 30_000)
+        assert got == expected
+        walked = counted["m1" if R is None else R]
+        assert _CHUNK + 1000 < walked < 30_000 - 1000
+
+    @pytest.mark.parametrize("sweep, bounds, field", [
+        ("m1", "_upper_bounds", "quad"), ("m1", "_upper_bounds", "elem"),
+        ("m2", "_lower_bounds", "quotient"), ("m2", "_lower_bounds", "tau_fixed"),
+    ])
+    def test_a_failing_check_walks_the_whole_tail(self, monkeypatch, sweep, bounds, field):
+        # With one error bound so wide that its one-sided check fails, the
+        # sweep evaluates every index, and its report does not move.
+        real = getattr(sweeps, bounds)
+        monkeypatch.setattr(sweeps, bounds, lambda *a: real(*a)._replace(**{field: 1e3}))
+        counted = kernel_counts(monkeypatch)
+        got, expected = sweep_and_reference(None if sweep == "m1" else 4.0, 50_000)
+        assert got == expected
+        assert counted["m1" if sweep == "m1" else 4.0] == 50_000 - (1 if sweep == "m1" else 2)
+
+    def test_quad_failing_past_the_head_moves_the_threshold(self, monkeypatch):
+        # quad rises in m; shifted down to cross -EPS_ALGEBRAIC between 8,999
+        # and 9,000, it fails on the head's last index and through 8,999.
+        kernel = sweeps._upper_terms
+        shift = float(kernel(np.array([8999.5]))[3][0])
+
+        def shifted(ms):
+            x, rhs, lin, quad, elem = kernel(ms)
+            return x, rhs, lin, quad - shift, elem
+
+        monkeypatch.setattr(sweeps, "_upper_terms", shifted)
+        assert verify_upper_bound_sweep(10 ** 6).threshold_found == 9000
+
+    def test_tau_failing_past_the_head_moves_the_threshold(self, monkeypatch):
+        # tau rises in m; shifted down to cross its floor between 8,999 and
+        # 9,000, it fails on the head's last index and through 8,999.
+        R = 4.0
+        s = math.sqrt(R)
+        least = -1.5 * (s + 1.0) * math.log(R) - EPS_ALGEBRAIC
+        shift = float(tau(R, 8999.5)) - least
+        kernel = sweeps._quotient_and_tau
+
+        def shifted(R, ms):
+            q, tau_ms = kernel(R, ms)
+            return q, tau_ms - shift
+
+        monkeypatch.setattr(sweeps, "_quotient_and_tau", shifted)
+        assert verify_lower_bound_sweep(R, 10 ** 6).threshold_found == 9000
+
+    def test_the_m1_bounds_hold_against_40_digit_margins(self):
+        bounds = _upper_bounds(1.0 / (_CHUNK + 1))
+        floats = _upper_terms(np.array(TAIL_INDICES, dtype=float))[2:]
+        errors = [max(abs(float(f[i]) - float(e)) for i, e in enumerate(exact))
+                  for f, exact in zip(floats, zip(*map(exact_upper_margins, TAIL_INDICES)))]
+        assert all(e <= bound for e, bound in zip(errors, bounds[1:]))
+        # The slope is sound, and sharp within 1 %: lin falls by at least
+        # slope/(m(m-1)) from m - 1 to m.
+        falls = [(exact_upper_margins(m - 1)[0] - exact_upper_margins(m)[0]) * m * (m - 1)
+                 for m in TAIL_INDICES[1:]]
+        assert 0.99 * min(falls) <= bounds.slope <= min(falls)
+
+    @pytest.mark.parametrize("R", TAIL_RADII)
+    def test_the_m2_bounds_hold_against_40_digit_terms(self, R):
+        K = BoundConstants.for_radius(R).K_of_R
+        bounds = _lower_bounds(R, K, 1.0 / (_CHUNK + 2))  # the m2 head ends at _CHUNK + 2
+        ms = np.array([m + 1 for m in TAIL_INDICES], dtype=float)
+        q, tau_ms = _quotient_and_tau(R, ms)
+        margin = q - (1.0 - K / ms)
+        for i, m in enumerate(ms.astype(int)):
+            exact_margin, exact_q, exact_tau = exact_lower_terms(R, m)
+            assert abs(margin[i] - exact_margin) <= bounds.margin
+            assert abs(q[i] - exact_q) <= bounds.quotient
+            assert abs(tau_ms[i] - exact_tau) <= bounds.tau_fixed + m * bounds.tau_per_m
+        if bounds.slope > 0.0:
+            falls = [(exact_lower_terms(R, m - 1)[0] - exact_lower_terms(R, m)[0]) * m * (m - 1)
+                     for m in ms[1:].astype(int)]
+            assert 0.99 * min(falls) <= bounds.slope <= min(falls)
+
+
+class TestUlpAllowance:
+    def test_numpy_functions_stay_within_the_allowance(self):
+        # Arrays of 20,000 sweep arguments each, so numpy's SIMD loops run.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        ms = np.concatenate([np.arange(3.0, 10_003.0),
+                             np.floor(np.geomspace(10_003.0, 1e8, 10_000) * rng.uniform(1, 1.01, 10_000))])
+        t = math.pi / ms
+        R = np.resize(np.array([1.0 + 1e-6, 1.5, 4.0, 1e6]), ms.size)
+        L, s = np.log(R), np.sqrt(R)
+        pm1 = np.expm1(L / ms)
+        ratio = (s * pm1 + pm1) / (s * pm1 + np.expm1(L / 2.0))
+        cases = [(np.tan, mpmath.tan, math.pi / 4.0 - t * 0.5), (np.sin, mpmath.sin, t),
+                 (np.exp, mpmath.exp, L / ms), (np.expm1, mpmath.expm1, L / ms),
+                 (np.log1p, mpmath.log1p, -ratio), (np.arctanh, mpmath.atanh, np.sin(t))]
+        with mpmath.workdps(40):
+            for f, exact, args in cases:
+                values = (exact(mpmath.mpf(a)) for a in args.tolist())
+                worst = max(float(abs(mpmath.mpf(got) - value)) / math.ulp(float(value))
+                            for got, value in zip(f(args).tolist(), values))
+                assert worst <= _ULPS, f.__name__
 
 
 class TestRangeChecks:
@@ -579,15 +785,16 @@ class TestBlockLogModuli:
         assert _block_log_moduli(20).sums[:12] == _block_log_moduli(12).sums
 
     @pytest.mark.parametrize(
-        "terms, series",
-        [(_log_moduli, _MODULUS_SERIES),
-         (lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0))],
+        "terms, series, term_error",
+        [(_log_moduli, _MODULUS_SERIES, _modulus_term_error),
+         (lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0),
+          lambda t: _quotient_term_error(4.0, t))],
         ids=["moduli", "lower-quotient"],
     )
-    def test_sliced_blocks_match_whole_block_sums(self, terms, series):
+    def test_sliced_blocks_match_whole_block_sums(self, terms, series, term_error):
         # Blocks of more than _CHUNK = 2^13 indices are summed in closed form;
         # they agree with a float sum of every term of the block.
-        blocks = _block_sums(terms, series, 20)
+        blocks = _block_sums(terms, series, 20, term_error)
         for n, block_sum in enumerate(blocks.sums[_HEAD_N:], start=_HEAD_N + 1):
             whole = float(np.sum(terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float))))
             assert block_sum == pytest.approx(whole, rel=1e-14)
@@ -624,6 +831,20 @@ def reference_block(R, n):
         return mpmath.fsum(c * p for c, p in zip(taylor_coefficients(R), power_sums))
 
 
+def direct_block(R, n):
+    """40-digit block n sum of log|x(m)| (R None) or of log q_R(m), term by
+    term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if R is None:
+            return mpmath.fsum(-mpmath.atanh(mpmath.sin(mpmath.pi / m))
+                               for m in range(2 ** n, 2 ** (n + 1)))
+        R = mpmath.mpf(R)
+        s = mpmath.sqrt(R)
+        return mpmath.fsum(mpmath.log((s - R ** (mpmath.mpf(1) / m)) / (s * R ** (mpmath.mpf(1) / m) - 1))
+                           for m in range(2 ** n, 2 ** (n + 1)))
+
+
 def series_of(R):
     return _MODULUS_SERIES if R is None else _log_quotient_series(R)
 
@@ -650,6 +871,17 @@ class TestClosedFormBlocks:
         for j in range(1, TAYLOR_ORDER + 1, 2):
             assert abs(exact[j]) <= series.scale * 2 ** (j + 1) / j
 
+    @pytest.mark.parametrize("R", [None] + THIN_TO_WIDE, ids=lambda R: "moduli" if R is None else f"q{R}")
+    def test_the_head_blocks_lie_within_their_radius(self, R):
+        # A head block's radius covers np.sum's rounding and every term's.
+        blocks = (_block_log_moduli(_HEAD_N) if R is None else
+                  _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), _HEAD_N,
+                              lambda t: _quotient_term_error(R, t)))
+        for n in (2, 3, 4, 5, 6, 10, 11, 12, _HEAD_N):
+            reference = reference_block(R, n) if n >= 10 else direct_block(R, n)
+            value, radius = blocks.sums[n - 1], blocks.radii[n - 1]
+            assert abs(value - reference) <= radius <= 1e-11 * abs(value)
+
     @pytest.mark.parametrize("R", THIN_TO_WIDE)
     def test_the_chain_head_blocks_are_cancellation_free(self, R):
         # log1p(-(sqrt(R) + 1)(p - 1) / (sqrt(R) p - 1)): the log of the
@@ -662,7 +894,9 @@ class TestClosedFormBlocks:
     @pytest.mark.parametrize("R", THIN_TO_WIDE)
     def test_the_quotient_vanishes_at_m_2(self, R):
         assert _log_quotients(R, np.arange(2.0, 4.0))[0] == -math.inf
-        assert _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), 1).sums == (-math.inf,)
+        blocks = _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), 1,
+                             lambda t: _quotient_term_error(R, t))
+        assert blocks == ((-math.inf,), (0.0,))
 
     def test_a_default_run_evaluates_only_the_head_blocks(self, monkeypatch, capsys):
         counted = {}
@@ -690,9 +924,11 @@ class TestClosedFormBlocks:
         table = _block_log_moduli(20)
         assert verify_one_over_e_products(4.0, 20).worst_margin == min(
             min(-1.0 - s - r, 1e12) for s, r in zip(table.sums, table.radii))
-        assert all(r > 0.0 for r in table.radii[_HEAD_N:]) and not any(table.radii[:_HEAD_N])
+        # Block 1's sum is exactly -inf; every other block has a radius.
+        assert table.radii[0] == 0.0 and all(r > 0.0 for r in table.radii[1:])
 
-        lower = _block_sums(lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0), 20)
+        lower = _block_sums(lambda ms: _log_quotients(4.0, ms), _log_quotient_series(4.0), 20,
+                            lambda t: _quotient_term_error(4.0, t))
         radius = {}
 
         def marked(series, n):
