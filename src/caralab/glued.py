@@ -2,9 +2,12 @@
 attachment points, holomorphic test families on the quotient, and
 cross-sheet distance brackets plus non-compactness / completeness probes.
 The probes read their upper bounds from one many-target kernel
-(_upper_paths); glued_upper_bound is its one-target case.  The middle
-glue-path leg between two sheets >= 1 depends only on (R, sheet pair) and is
-computed once per process into a bounded, read-only cache.
+(_upper_paths), which takes every glue-path leg it does not cache in one lift
+call; glued_upper_bound is its one-target case.  The middle glue-path leg
+between two sheets >= 1 depends only on (R, sheet pair) and is computed once
+per process into a bounded, read-only cache.  A sheet-supported lower-bound
+candidate is first held against a closed-form ceiling (_log_ceiling), which
+drops most losing ones before a zero of their product is read.
 
 Sheet n (n >= 1) carries 2^n attachment points R^(1 - 1/j),
 j = 2^n .. 2^(n+1) - 1, each identified with the same coordinate on sheet 0.
@@ -239,6 +242,51 @@ def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
     )
 
 
+@lru_cache(maxsize=128)
+def _ceiling_terms(R: float, target: int) -> Tuple[float, float, float]:
+    """(lo, hi, S) for _log_ceiling: lo <= every float zero of the target
+    sheet's product <= hi, and S <= the sum of 1 - a^2 over those zeros.
+
+    The zeros are a_j = R^(-1/j), j = J .. 2J - 1 with J = 2^target, so with
+    L = ln R, 1 - a_j^2 = 1 - exp(-2L/j) >= 2L/j - 2L^2/j^2, and
+    sum 1/j >= ln 2, sum 1/j^2 <= 1/(J - 1) - 1/(2J - 1) give
+    S = 2 ln2 L - 2 L^2 J / ((J - 1)(2J - 1)).  A float zero is within
+    delta = (L + 8) 2^-52 relative of its a_j: the exponent 1 - 1/j rounds
+    by at most 2^-53 (L 2^-53 relative after pow), pow by a few ulp and the
+    division by R by half an ulp.  So 4 J delta covers the float zeros'
+    shift of the sum (2 J delta) and the rounding of S, and 3 delta the
+    shift of the first and last zeros.  Three floats per (R, sheet); no
+    chunk is read.
+    """
+    J = 2 ** target
+    L = math.log(R)
+    delta = (L + 8.0) * 2.0 ** -52
+    S = 2.0 * math.log(2.0) * L - 2.0 * L * L * J / ((J - 1) * (2 * J - 1))
+    lo = float(_glue_values(R, J)) / R * (1.0 - 3.0 * delta)
+    hi = float(_glue_values(R, 2 * J - 1)) / R * (1.0 + 3.0 * delta)
+    return lo, hi, S - 4.0 * J * delta
+
+
+def _log_ceiling(R: float, target: int, z: complex) -> float:
+    """An upper bound for the target sheet's log|B(z)|, in O(1).
+
+    log|B(z)| = 1/2 sum log(1 - u_a) <= -1/2 sum u_a with
+    u_a = (1 - a^2)(1 - |z|^2) / |1 - a z|^2, and |1 - a z|^2 is convex in a,
+    so on [lo, hi] it is at most its larger end value D: the bound is
+    -1/2 S (1 - |z|^2) / D.  1 - |z|^2 is rounded as log_abs_at rounds it,
+    and D as |1 - a z|^2 there, with no cancellation; the few roundings
+    left are relative, far inside the 1e-9 stop margin of glued_lower_bound.
+    0.0 (no bound) where S <= 0.
+    """
+    lo, hi, S = _ceiling_terms(R, target)
+    if S <= 0.0:
+        return 0.0
+    r, x, y = abs(z), 1.0 - z.real, z.imag
+    far = max(((1.0 - lo) + lo * x) ** 2 + (lo * y) ** 2,
+              ((1.0 - hi) + hi * x) ** 2 + (hi * y) ** 2)
+    return -0.5 * S * ((1.0 - r) * (1.0 + r)) / far
+
+
 @dataclass(frozen=True)
 class AdmissibleFunction:
     """A holomorphic map (truncated space) -> D from one of two families.
@@ -316,8 +364,11 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     so far: the full sum would be lower still (BlaschkeProduct.log_abs_at),
     and the margin is far wider than the rounding of log, exp and the sum, so
     a stopped candidate is one the full sum would also have rejected, and
-    value and witness stay bit for bit those of the full sums.  A best of 0
-    (equal coordinates on two sheets) sets no stop.
+    value and witness stay bit for bit those of the full sums.  Before any
+    zero is read, a candidate whose closed-form ceiling (_log_ceiling, above
+    the full sum) is already below the stop is dropped: the full sum could
+    not have won either.  A best of 0 (equal coordinates on two sheets) sets
+    no stop.
     """
     p = recanonicalize(cfg, p)
     q = recanonicalize(cfg, q)
@@ -345,11 +396,13 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
             B = _sheet_blaschke(R, pt.sheet)
         except DiskDomainError:
             continue
-        stop = None
+        z, stop = pt.coord / R, None
         if best > 0.0:
             log_best = math.log(best)  # <= 0, as best < 1
             stop = log_best - 1e-9 * (1.0 - log_best)
-        v = min(math.exp(B.log_abs_at(pt.coord / R, stop)), _ONE_MINUS)
+            if _log_ceiling(R, pt.sheet, z) < stop:
+                continue
+        v = min(math.exp(B.log_abs_at(z, stop)), _ONE_MINUS)
         if v > best:
             best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness
@@ -429,11 +482,12 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
 
     Same-sheet targets take the annulus lift minimum in one call.  Each leg
     of the cross-sheet paths p -> exit -> exit -> q is computed once per
-    distinct exit set: h_p and h_q together in one call, mid once per target
-    sheet.  When p and the target sheet are both off sheet 0, mid depends
-    only on (R, sheet pair) and is read from the per-process _mid_leg cache;
-    an end on sheet 0 exits at itself, so it has no exit leg and its mid is
-    computed per call.
+    distinct exit set, and every leg not in a cache in one more call: h_p,
+    every h_q and the middle legs that involve sheet 0.  When p and the
+    target sheet are both off sheet 0, mid depends only on (R, sheet pair)
+    and is read from the per-process _mid_leg cache; an end on sheet 0 exits
+    at itself, so it has no exit leg and its mid joins the call.  Each lift
+    entry is computed elementwise, so batching moves no value.
     """
     acf = cfg.annulus
     paths = _UpperPaths([0.0] * len(qs), [0] * len(qs), [False] * len(qs))
@@ -456,29 +510,39 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
     if not groups:
         return paths
 
-    # Both exit legs in one call: p to its exits, then each target sheet's
-    # exits to its targets.  An end on sheet 0 is its own exit, and its leg
-    # to itself, exactly 0.0, is left out: 0.0 + x == x.
+    # Every cross-sheet leg in one call, as flat (start, end) runs in the
+    # order they are read back: p to its exits, then per target sheet either
+    # p's exits to each sheet-0 target (its own exit), or p's middle leg when
+    # p is on sheet 0 followed by the sheet's exits to its targets.  An end
+    # on sheet 0 is its own exit, and its leg to itself, exactly 0.0, is left
+    # out: 0.0 + x == x.
     a = _exits(cfg, p)
     rows = {s: _exits(cfg, qs[ts[0]]) for s, ts in groups.items() if s != 0}
-    starts = [np.full(len(a), p.coord)] if p.sheet else []
-    ends = [a] if p.sheet else []
-    for s, row in rows.items():
-        starts.append(np.tile(row, len(groups[s])))
-        ends.append(coords[s].repeat(len(row)))
-    h = _poincare_upper(acf, np.concatenate(starts), np.concatenate(ends))
-    h_p, offset = (h[:len(a), None], len(a)) if p.sheet else (0.0, 0)
+    starts, ends = ([np.full(len(a), p.coord)], [a]) if p.sheet else ([], [])
     for s, ts in groups.items():
-        if s == 0:  # each sheet-0 target is its own exit: one mid column each
-            table = h_p + _poincare_upper(acf, a[:, None], coords[0]).T[:, :, None]
+        if s == 0:
+            starts.append(np.tile(a, len(ts)))
+            ends.append(coords[0].repeat(len(a)))
+            continue
+        if p.sheet == 0:
+            starts.append(np.full(len(rows[s]), p.coord))
+            ends.append(rows[s])
+        starts.append(np.tile(rows[s], len(ts)))
+        ends.append(coords[s].repeat(len(rows[s])))
+    h, offset = _poincare_upper(acf, np.concatenate(starts), np.concatenate(ends)), 0
+
+    def leg(n):  # the next n entries of h
+        nonlocal offset
+        offset += n
+        return h[offset - n:offset]
+
+    h_p = leg(len(a))[:, None] if p.sheet else 0.0
+    for s, ts in groups.items():
+        if s == 0:  # one middle leg per sheet-0 target and exit of p
+            table = h_p + leg(len(ts) * len(a)).reshape(len(ts), -1, 1)
         else:
-            if p.sheet == 0:
-                mid = _poincare_upper(acf, p.coord, rows[s])
-            else:
-                mid = _mid_leg(acf.R, p.sheet, s)
-            legs = h[offset:offset + len(ts) * len(rows[s])].reshape(len(ts), 1, -1)
-            offset += legs.size
-            table = (h_p + mid) + legs
+            mid = leg(len(rows[s])) if p.sheet == 0 else _mid_leg(acf.R, p.sheet, s)
+            table = (h_p + mid) + leg(len(ts) * len(rows[s])).reshape(len(ts), 1, -1)
         # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
         record(ts, table.reshape(len(ts), -1), lambda x: min(math.tanh(x), _ONE_MINUS))
 

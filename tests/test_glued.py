@@ -31,17 +31,20 @@ from caralab import (
     recanonicalize,
 )
 from caralab import glued as glued_module
-from caralab.disk import _CHUNK, DiskDomainError, _ONE_MINUS, _atanh
+from caralab.disk import _CHUNK, BlaschkeProduct, DiskDomainError, _ONE_MINUS, _atanh
 from caralab.glued import (
     MAX_EXITS,
     MID_LEG_CACHE_SIZE,
+    _ceiling_terms,
     _exit_indices,
     _exit_point,
     _exits,
+    _log_ceiling,
     _mid_leg,
     _poincare_upper,
     _sheet_blaschke,
     _sheet_exits,
+    _sheet_zeros,
     _upper_paths,
 )
 from caralab import sweeps
@@ -483,9 +486,15 @@ def full_sum_lower_bound(cfg, p, q):
         return best, witness
     R = cfg.annulus.R
     for pt in sorted((p, q), key=lambda pt: pt.sheet):
-        if pt.sheet == 0:
+        # The candidates glued_lower_bound drops: w/R on the circle, or a
+        # product too close to it.
+        if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
             continue
-        v = min(math.exp(_sheet_blaschke(R, pt.sheet).log_abs_at(pt.coord / R)), _ONE_MINUS)
+        try:
+            B = _sheet_blaschke(R, pt.sheet)
+        except DiskDomainError:
+            continue
+        v = min(math.exp(B.log_abs_at(pt.coord / R)), _ONE_MINUS)
         if v > best:
             best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness
@@ -537,7 +546,7 @@ class TestSheetSupportedCandidates:
             wins += witness.startswith("sheet-supported")
         assert wins >= 10  # the candidate does win on some of these pairs
 
-    @pytest.mark.parametrize("R", [1.5, 4.0, 10.0])
+    @pytest.mark.parametrize("R", [1.001, 1.5, 4.0, 10.0, 1e3])
     def test_early_stop_matches_the_full_sums(self, R):
         deep = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=20)
         rng = np.random.default_rng(int(R * 10))
@@ -565,6 +574,7 @@ class TestSheetSupportedCandidates:
     def test_glued_deep_glue_pairs_read_at_most_two_chunks(self, monkeypatch):
         # Each chunk of 8,192 zeros makes one np.log1p call; the glue pairs
         # of the benchmark sit against sheets 16-20, 8 to 128 chunks deep.
+        # A candidate whose closed-form ceiling is below the stop reads none.
         workloads = load_perfbench("workloads")
         log1p, calls = np.log1p, []
 
@@ -573,14 +583,22 @@ class TestSheetSupportedCandidates:
             return log1p(*args, **kwargs)
 
         monkeypatch.setattr(np, "log1p", counting)
+        rejected = 0
         for seed in (1, 3, 7):
             work = workloads.GluedDeep(seed=seed, seconds=1.0)
+            R = work.cfg.annulus.R
             for p, q in work.pairs[:work.cycle]:
                 if p.glue is None:
                     continue
                 calls.clear()
                 glued_lower_bound(work.cfg, p, q)
-                assert 1 <= len(calls) <= 2, (format_point(p), format_point(q))
+                log_best = math.log(annulus_lower_bound(work.cfg.annulus, p.coord, q.coord)[0])
+                if _log_ceiling(R, q.sheet, q.coord / R) < log_best - 1e-9 * (1.0 - log_best):
+                    assert not calls, (format_point(p), format_point(q))
+                    rejected += 1
+                else:
+                    assert 1 <= len(calls) <= 2, (format_point(p), format_point(q))
+        assert rejected >= 10  # all 15 at seeds 1, 3 and 7
 
     def test_points_next_to_the_outer_circle_get_brackets(self, cfg):
         # w/R lies within 1e-9 of the unit circle here, closer than complex
@@ -589,6 +607,51 @@ class TestSheetSupportedCandidates:
         for other in (canonicalize(cfg, 0, 2.0), canonicalize(cfg, 3, 2.0)):
             br = glued_distance_bracket(cfg, edge, other)
             assert 0.0 < br.lower <= br.upper < 1.0
+
+
+class TestLogCeiling:
+    """The closed-form ceiling glued_lower_bound tests before it reads a
+    zero: above the full log sum, so a candidate it rejects is one the full
+    sum would have rejected too."""
+
+    @pytest.mark.parametrize("R", [1.001, 1.5, 4.0, 10.0, 1e3])
+    def test_is_above_the_full_sum(self, R):
+        rng = np.random.default_rng(int(R * 7))
+        angles = [0.0, 1e-6, -0.01, *rng.uniform(-math.pi, math.pi, 2)]
+        checked = 0
+        for t in range(1, 21):
+            try:
+                B = _sheet_blaschke(R, t)
+            except DiskDomainError:  # zeros within 1e-9 of the circle
+                continue
+            # Glue coordinates over R (the zeros: -inf there), points within
+            # 1e-9 of |w| = R and of |w| = 1, and interior points.
+            zs = [GluePointIndex(t, int(m)).coordinate(R) / R
+                  for m in (1, 2 ** t, rng.integers(1, 2 ** t + 1))]
+            zs += [cmath.rect(r, th) / R for r in (R - 1e-9, 1.0 + 1e-9) for th in angles]
+            zs += [0j, *(random_annulus_points(rng, R, 3) / R)]
+            for z in map(complex, zs):
+                assert _log_ceiling(R, t, z) >= B.log_abs_at(z), (R, t, z)
+                checked += 1
+        assert checked >= 18 * len(zs)
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0])
+    def test_holds_for_zeros_off_by_the_float_error(self, shift):
+        # At R = 1.003 on sheet 20, moving every zero by the relative error
+        # the ceiling allows a float zero, (L + 8) 2^-52, moves the sum of
+        # 1 - a^2 by more than the slack of S itself: the pad carries it.
+        R, t = 1.003, 20
+        delta = shift * (math.log(R) + 8.0) * 2.0 ** -52
+        moved = BlaschkeProduct(
+            lambda start, stop: _sheet_zeros(R, t, start, stop) * (1.0 + delta), 2 ** t)
+        for z in (0j, 0.5j, -0.5 + 0j, cmath.rect(1.0 - 1e-9, 0.3)):
+            assert _log_ceiling(R, t, z) >= moved.log_abs_at(z), z
+
+    def test_no_bound_where_the_sum_estimate_is_not_positive(self):
+        # Sheet 1 of A(4): 2 ln2 L < 2 L^2 J / ((J - 1)(2J - 1)) at J = 2.
+        assert _ceiling_terms(4.0, 1)[2] <= 0.0
+        assert _log_ceiling(4.0, 1, 0.3 + 0.1j) == 0.0
+        assert _ceiling_terms.cache_info().maxsize == 128
 
 
 def per_pair_upper_bound(cfg, p, q):
@@ -765,15 +828,15 @@ class TestUpperKernel:
         calls = count_lift_calls(monkeypatch)
         z = canonicalize(cfg, 0, 2.0)
         assert ball_inclusion_radius(cfg, z, (1.8, 2.2), [0], samples=200) is not None
-        assert 0 < len(calls) <= 3 * (cfg.sheets + 1) + 1
+        # One call for the sheet-0 samples, one for every cross-sheet leg.
+        assert 0 < len(calls) <= 2
 
     def test_noncompactness_probe_makes_a_few_lift_calls_per_sheet(self, cfg, monkeypatch):
         calls = count_lift_calls(monkeypatch)
         assert noncompactness_probe(cfg, cfg.sheets).passed
-        # One leg from the basepoint, one mid leg per probed sheet and one
-        # call for every probe's own leg; pair by pair it would be three per
-        # sheet.
-        assert 0 < len(calls) <= cfg.sheets + 3
+        # Every leg in one call: the basepoint's middle legs and every
+        # probe's own leg; pair by pair it would be three per sheet.
+        assert len(calls) == 1
 
 
 class TestMidLegCache:
@@ -827,15 +890,15 @@ class TestMidLegCache:
         assert len(calls) == 1
         assert glued_upper_bound(cfg, p, q) == first == per_pair_upper_bound(cfg, p, q)
 
-    def test_a_sheet_zero_end_makes_two_lift_calls(self, cfg, monkeypatch):
-        # Its middle leg, and one call for the other end's exit leg: the
+    def test_a_sheet_zero_end_makes_one_lift_call(self, cfg, monkeypatch):
+        # Its middle leg and the other end's exit leg share one call: the
         # sheet-0 end is its own exit, with no leg to itself.
         calls = count_lift_calls(monkeypatch)
         zero, seven = canonicalize(cfg, 0, 2.0), canonicalize(cfg, 7, complex(1.5, 1.0))
         for p, q in [(zero, seven), (seven, zero)]:
             del calls[:]
             bound = glued_upper_bound(cfg, p, q)
-            assert len(calls) == 2
+            assert len(calls) == 1
             assert bound == per_pair_upper_bound(cfg, p, q)
 
     def test_a_sheet_zero_end_bypasses_the_cache(self, cfg):
