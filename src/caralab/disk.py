@@ -1,14 +1,15 @@
 """Exact unit-disk geometry: Mobius/Poincare distances and Blaschke products.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently.  A Blaschke product built from a function fills in its zero
-chunks as they are first read, with the same bits whichever call builds them.
+concurrently.  A Blaschke product built from a function keeps its first zero
+chunk once read and builds every later one on each read, with the same bits
+whichever call builds them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,8 +22,8 @@ EPS_BOUNDARY = 1e-9
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 
 # Zeros per chunk of a BlaschkeProduct: the unit a built product makes at a
-# time and __call__ and log_abs_at walk, whose few work arrays of this many
-# values stay in cache.
+# time (keeping only the first) and __call__ and log_abs_at walk, whose few
+# work arrays of this many values stay in cache.
 _CHUNK = 1 << 13
 
 
@@ -74,22 +75,24 @@ def _checked_zeros(zs: np.ndarray) -> np.ndarray:
 
 
 class BlaschkeProduct:
-    """Finite Blaschke product with zeros strictly inside D, held in
+    """Finite Blaschke product with zeros strictly inside D, read in
     read-only chunks of _CHUNK zeros: float64 when every zero is real,
     complex otherwise.
 
-    zeros is either the zeros themselves, copied, checked and split at
+    zeros is either the zeros themselves, copied, checked and kept whole at
     construction, or a function build(start, stop) returning zeros
     start .. stop - 1 as such an array, with degree the number of zeros.
-    A built product makes each chunk on its first read, checks it and keeps
-    it, so a caller that reads one chunk builds one.  Its zeros must not
-    decrease in modulus: the last one, the nearest to the circle, is built
-    and checked at construction, so a product too close to the circle fails
-    there, as one with given zeros does.  Threads racing on one chunk build
-    the same bits.
+    A built product makes and checks its first chunk on its first read and
+    keeps it; every later chunk is made and checked on each read and then
+    dropped.  Every sum starts at zero 0 and most stop inside the first
+    chunk, so a deep product holds _CHUNK zeros, not its degree.  Its zeros
+    must not decrease in modulus: the last one, the nearest to the circle,
+    is built and checked at construction, so a product too close to the
+    circle fails there, as one with given zeros does.  Threads racing on the
+    first chunk build the same bits.
     """
 
-    __slots__ = ("degree", "_build", "_chunks")
+    __slots__ = ("degree", "_build", "_zeros")
 
     def __init__(
         self,
@@ -99,24 +102,26 @@ class BlaschkeProduct:
         if callable(zeros):
             self.degree = degree
             self._build = zeros
-            self._chunks: Dict[int, np.ndarray] = {}
+            self._zeros: Optional[np.ndarray] = None
             if degree:
                 _checked_zeros(zeros(degree - 1, degree))
             return
-        zs = _checked_zeros(np.array(zeros, dtype=float if np.isrealobj(zeros) else complex))
-        self.degree = len(zs)
+        self._zeros = _checked_zeros(np.array(zeros, dtype=float if np.isrealobj(zeros) else complex))
+        self.degree = len(self._zeros)
         self._build = None
-        self._chunks = {start: zs[start:start + _CHUNK] for start in range(0, len(zs), _CHUNK)}
 
     def zero_chunks(self) -> Iterator[np.ndarray]:
         """The zeros in order, in chunks of _CHUNK (the last may be shorter);
-        a built product makes each chunk here, on its first read."""
+        a built product makes its first chunk on the first read and every
+        later one here, on each read."""
         for start in range(0, self.degree, _CHUNK):
-            chunk = self._chunks.get(start)
-            if chunk is None:
-                built = self._build(start, min(start + _CHUNK, self.degree))
-                chunk = self._chunks[start] = _checked_zeros(built)
-            yield chunk
+            stop = min(start + _CHUNK, self.degree)
+            if start and self._build:
+                yield _checked_zeros(self._build(start, stop))
+                continue
+            if self._zeros is None:
+                self._zeros = _checked_zeros(self._build(0, stop))
+            yield self._zeros[start:stop]
 
     def __call__(self, z: complex) -> complex:
         z = _as_disk_point(z)

@@ -15,7 +15,8 @@ Identification is decided by exact integer indices, never by float equality:
 the attachment coordinates crowd together as n grows and float keys would
 mis-glue.  No table of them is built: glue points, exits and the zeros of a
 sheet's product each compute the coordinates they read (_glue_values), the
-zeros a chunk at a time as the log sums reach them.
+zeros a chunk at a time as the log sums reach them, keeping only the first
+chunk, where nearly every stopped sum ends.
 
 Brackets do not depend on the truncation depth N.  Every lower-bound map
 extends to the whole space X by 0 past sheet N: a pullback is the same map
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -235,8 +237,9 @@ def _sheet_zeros(R: float, target: int, start: int, stop: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _sheet_blaschke(R: float, target: int) -> BlaschkeProduct:
-    # Built one chunk of zeros at a time, as the sums read them; the zeros
-    # increase in modulus, as a built product requires.
+    # Built one chunk of zeros at a time, as the sums read them, and only the
+    # first chunk kept: at most _CHUNK zeros a sheet.  The zeros increase in
+    # modulus, as a built product requires.
     return BlaschkeProduct(
         lambda start, stop: _sheet_zeros(R, target, start, stop), 2 ** target
     )
@@ -382,30 +385,36 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
         # at most d(a/R, b/R), the w/R quotient already in `best`.
         return best, witness
 
-    # The end off sheet t evaluates to 0, so the candidate's Mobius distance
-    # is |B(w/R)| at the end on sheet t.
-    R = cfg.annulus.R
     for pt in sorted((p, q), key=lambda pt: pt.sheet):
-        # An evaluation point w/R that rounds onto the circle drops the
-        # candidate, as in annulus_lower_bound, and so does a product whose
-        # zeros come within EPS_BOUNDARY of the circle (deep sheets of a
-        # thin annulus): any subset of the family still certifies.
-        if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
-            continue
-        try:
-            B = _sheet_blaschke(R, pt.sheet)
-        except DiskDomainError:
-            continue
-        z, stop = pt.coord / R, None
-        if best > 0.0:
-            log_best = math.log(best)  # <= 0, as best < 1
-            stop = log_best - 1e-9 * (1.0 - log_best)
-            if _log_ceiling(R, pt.sheet, z) < stop:
-                continue
-        v = min(math.exp(B.log_abs_at(z, stop)), _ONE_MINUS)
+        v = _own_sheet_modulus(cfg.annulus.R, pt, best)
         if v > best:
             best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness
+
+
+def _own_sheet_modulus(R: float, pt: SpacePoint, best: float = 0.0) -> float:
+    """|B(w/R)| at pt, B the product of pt's own sheet: the value of that
+    sheet's candidate on a pair whose other end, off the sheet, maps to 0.
+    0.0 where the candidate is dropped.  A best > 0 sets glued_lower_bound's
+    stop and ceiling, and a stopped or rejected candidate returns some value
+    below best; otherwise this is the full value."""
+    # An evaluation point w/R that rounds onto the circle drops the
+    # candidate, as in annulus_lower_bound, and so does a product whose
+    # zeros come within EPS_BOUNDARY of the circle (deep sheets of a thin
+    # annulus): any subset of the family still certifies.
+    if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
+        return 0.0
+    try:
+        B = _sheet_blaschke(R, pt.sheet)
+    except DiskDomainError:
+        return 0.0
+    z, stop = pt.coord / R, None
+    if best > 0.0:
+        log_best = math.log(best)  # <= 0, as best < 1
+        stop = log_best - 1e-9 * (1.0 - log_best)
+        if _log_ceiling(R, pt.sheet, z) < stop:
+            return 0.0
+    return min(math.exp(B.log_abs_at(z, stop)), _ONE_MINUS)
 
 
 @lru_cache(maxsize=None)
@@ -625,6 +634,11 @@ def noncompactness_probe(cfg: SpaceConfig, n_max: int) -> NoncompactnessReport:
     Sheet 1 is skipped: sqrt(R) is itself an attachment point of sheet 1, so
     its copy there is the basepoint.  A pairwise floor needs two points, so
     n_max >= 3.
+
+    A pair's lower bound, bit for bit that of glued_lower_bound, is the
+    largest of its pullback and its two ends' own-sheet moduli, each summed
+    once in full: a candidate glued_lower_bound stops or rejects by its
+    ceiling lies below the best it lost to.
     """
     if not 1 <= n_max <= cfg.sheets:
         raise ValueError(f"n_max must lie in [1, {cfg.sheets}], got {n_max!r}")
@@ -636,7 +650,11 @@ def noncompactness_probe(cfg: SpaceConfig, n_max: int) -> NoncompactnessReport:
 
     uppers = _upper_paths(cfg, base, pts).values
     inside = all(u <= TWO_OVER_E + 1e-12 for u in uppers)
-    floor = min(glued_lower_bound(cfg, p, q)[0] for i, p in enumerate(pts) for q in pts[i + 1:])
+    own = [_own_sheet_modulus(cfg.annulus.R, pt) for pt in pts]
+    floor = min(
+        max(annulus_lower_bound(cfg.annulus, p.coord, q.coord)[0], u, v)
+        for (p, u), (q, v) in combinations(zip(pts, own), 2)
+    )
     return NoncompactnessReport(
         threshold_n0=ONE_OVER_E_N0,
         ball_radius=TWO_OVER_E,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestGlueCoordinateTable:
 
     @pytest.fixture(autouse=True)
     def fresh_products(self):
-        # Deep products keep every chunk they build; leave none behind.
+        # Each product keeps the first chunk it builds; leave none behind.
         _sheet_blaschke.cache_clear()
         yield
         _sheet_blaschke.cache_clear()
@@ -282,7 +283,25 @@ class TestGlueCoordinateTable:
         B.log_abs_at(0.5, stop=math.inf)  # stops after the first chunk
         assert built[1:] == [(20, 0, _CHUNK)]
         B.log_abs_at(0.5, stop=math.inf)
-        assert len(built) == 2  # built chunks stay on the product
+        assert len(built) == 2  # the first chunk stays on the product
+        for _ in range(2):
+            B.log_abs_at(0.5)  # full sums build every later chunk again
+        later = [(20, start, start + _CHUNK) for start in range(_CHUNK, last, _CHUNK)]
+        assert len(later) == 127 and built[2:] == later * 2
+
+    def test_sheet_products_hold_only_their_first_chunk(self):
+        # One complex evaluation per sheet, as glued-deep's warmup makes,
+        # builds all 2^21 zeros; whole sheets kept would hold 16 MB.
+        cfg = SpaceConfig(AnnulusConfig(R=4.0, family_degree=2, grid_density=2), sheets=20)
+        tracemalloc.start()
+        try:
+            for t in range(1, 21):
+                pt = canonicalize(cfg, t, complex(cfg.annulus.sqrt_R, 0.5))
+                evaluate_admissible(cfg, AdmissibleFunction.sheet_supported(t), pt)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2 ** 20
 
     @pytest.mark.parametrize("sheet", [1, 3, 5, 6, 12])
     def test_exits_match_their_canonical_glue_points(self, cfg, sheet):
@@ -999,6 +1018,24 @@ class TestNoncompactness:
         assert rep.passed and rep.points == ["2:2,0", "3:2,0"]
         assert rep.pairwise_lower_floor == glued_lower_bound(
             cfg, canonicalize(cfg, 2, 2.0), canonicalize(cfg, 3, 2.0))[0] > 0.0
+
+    @pytest.mark.parametrize("R, n_max", [(1.5, 12), (4.0, 12), (10.0, 12), (4.0, 20), (1.001, 20)])
+    def test_floor_is_the_per_pair_floor_from_one_sum_a_sheet(self, monkeypatch, R, n_max):
+        deep = SpaceConfig(AnnulusConfig(R=R, family_degree=2, grid_density=2), sheets=n_max)
+        pts = [canonicalize(deep, n, deep.annulus.sqrt_R) for n in range(2, n_max + 1)]
+        per_pair = min(glued_lower_bound(deep, p, q)[0] for i, p in enumerate(pts) for q in pts[i + 1:])
+        calls, log_abs_at = [], BlaschkeProduct.log_abs_at
+        monkeypatch.setattr(BlaschkeProduct, "log_abs_at",
+                            lambda *args: calls.append(1) or log_abs_at(*args))
+        rep = noncompactness_probe(deep, n_max)
+        assert rep.pairwise_lower_floor.hex() == per_pair.hex()
+        assert len(calls) <= n_max - 1  # one sum per probe point at most, not two per pair
+        if R == 1.001:
+            # Sheets 19 and 20 drop their candidates (zeros within
+            # EPS_BOUNDARY of the circle), so the two share a floor of 0.
+            assert rep.pairwise_lower_floor == 0.0 and not rep.passed
+        else:
+            assert len(calls) == n_max - 1 and rep.passed
 
     def test_to_dict_round(self, cfg):
         d = noncompactness_probe(cfg, 5).to_dict()
