@@ -57,7 +57,6 @@ from .glued import (
     glued_upper_bound,
     noncompactness_probe,
     parse_point,
-    recanonicalize,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "poincare_distance",
     "preimage_moduli",
     "preimage_point",
-    "recanonicalize",
     "schwarz_pick_check",
     "verify_final_chain",
     "verify_lower_bound_sweep",

@@ -25,6 +25,10 @@ stay holomorphic on X.  Every glue path runs through the sheets of its two
 ends and sheet 0, so it lies in X.  A bracket for points on sheets <= N thus
 bounds their distance in X, and is the same at every N that holds them; N
 only limits the sheets a point may name and the probes visit.
+
+A SpacePoint comes from canonicalize or parse_point under the config it is
+used with, which validate it and decide its identification once; nothing
+here canonicalizes a given point again.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ class GluePointIndex:
             )
 
     def coordinate(self, R: float) -> float:
-        return _glue_coordinate(R, 2 ** self.sheet + self.slot - 1)
+        return float(_glue_values(R, 2 ** self.sheet + self.slot - 1))
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,8 @@ class SpacePoint:
     """Canonicalized point of the truncated space: sheet index + coordinate.
 
     Identified points carry the sheet-0 representative; the glue index is
-    bookkeeping and does not participate in equality.
+    bookkeeping and does not participate in equality.  Made by canonicalize
+    or parse_point under the config it is used with.
     """
 
     sheet: int
@@ -162,10 +167,6 @@ def canonicalize(
         raise ValueError("a coordinate or a glue index is required")
     coord = _as_annulus_point(cfg.annulus, coord, "coord")
     return SpacePoint(sheet, coord, None)
-
-
-def recanonicalize(cfg: SpaceConfig, p: SpacePoint) -> SpacePoint:
-    return canonicalize(cfg, p.sheet, p.coord, p.glue)
 
 
 def format_point(p: SpacePoint) -> str:
@@ -218,13 +219,6 @@ def _glue_values(R: float, j):
     R ** (1 - 1/j) by 1 ulp).
     """
     return np.power(R, 1.0 - 1.0 / j)
-
-
-@lru_cache(maxsize=4096)
-def _glue_coordinate(R: float, j: int) -> float:
-    # Every recanonicalization and exit witness reads a glue point's
-    # coordinate again; the cache keeps a reread a lookup.
-    return float(_glue_values(R, j))
 
 
 def _sheet_zeros(R: float, target: int, start: int, stop: int) -> np.ndarray:
@@ -339,8 +333,8 @@ class AdmissibleFunction:
 
 
 def evaluate_admissible(cfg: SpaceConfig, F: AdmissibleFunction, p: SpacePoint) -> complex:
-    """Evaluate F at a canonical point; aborts if the value escapes the disk."""
-    p = recanonicalize(cfg, p)
+    """Evaluate F at p, made by canonicalize or parse_point under cfg;
+    aborts if the value escapes the disk."""
     v = F.evaluate(cfg, p)
     if abs(v) >= 1.0:
         raise EvaluationEscapeError(
@@ -354,7 +348,8 @@ def evaluate_admissible(cfg: SpaceConfig, F: AdmissibleFunction, p: SpacePoint) 
 # ---------------------------------------------------------------------------
 
 def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
-    """Best certified lower bound for the quotient Mobius distance.
+    """Best certified lower bound for the quotient Mobius distance of p and
+    q, canonical for cfg.
 
     Maximizes over the pullback of the annulus lower-bound family and over
     sheet-supported candidates vanishing on one point's sheet; each candidate
@@ -373,8 +368,6 @@ def glued_lower_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     not have won either.  A best of 0 (equal coordinates on two sheets) sets
     no stop.
     """
-    p = recanonicalize(cfg, p)
-    q = recanonicalize(cfg, q)
     if p == q:
         return 0.0, "trivial (identical points)"
 
@@ -450,7 +443,7 @@ def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:
     if p.sheet == 0:
         return p
     glue = GluePointIndex(p.sheet, int(_exit_indices(p.sheet)[i]) + 1)
-    return canonicalize(cfg, 0, glue=glue)
+    return SpacePoint(0, complex(_exits(cfg, p)[i]), glue)
 
 
 def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
@@ -569,7 +562,8 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
 
 
 def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[float, str]:
-    """Certified upper bound for the quotient Mobius distance, with witness.
+    """Certified upper bound, with witness, for the quotient Mobius distance
+    of p and q, canonical for cfg.
 
     The one-target case of _upper_paths, the probes' kernel.  Same
     sheet: restriction of quotient functions to the sheet dominates by the
@@ -578,8 +572,6 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     (sqrt(R) on sheet 0, sqrt(R) on sheet n) additionally caps at 2/e, since
     every block product is at most 1/e (ONE_OVER_E_N0).
     """
-    p = recanonicalize(cfg, p)
-    q = recanonicalize(cfg, q)
     if p == q:
         return 0.0, "trivial (identical points)"
     paths = _upper_paths(cfg, p, [q])
@@ -594,7 +586,8 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
 
 
 def glued_distance_bracket(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> DistanceBracket:
-    """Two-sided certified bracket for the quotient Mobius distance."""
+    """Two-sided certified bracket for the quotient Mobius distance of p and
+    q, canonical for cfg."""
     return _bracket(cfg, p, q, glued_lower_bound, glued_upper_bound, format_point)
 
 
@@ -688,8 +681,9 @@ class CompletenessReport:
 
 def completeness_probe(cfg: SpaceConfig, sequence: Sequence[SpacePoint]) -> CompletenessReport:
     """Report the upper-bound Cauchy modulus per tail alongside the natural-
-    topology diameter of tails; flags the Cauchy-and-converging pattern."""
-    seq = [recanonicalize(cfg, p) for p in sequence]
+    topology diameter of tails; flags the Cauchy-and-converging pattern.
+    The points come from canonicalize or parse_point under cfg."""
+    seq = list(sequence)
     if len(seq) < 3:
         raise ValueError("completeness probe needs a sequence of length >= 3")
 
@@ -745,7 +739,8 @@ def ball_inclusion_radius(
 
     Sampling evidence for the ball-inclusion condition, not a proof, so at
     least one sample is required.  The sample cloud depends only on (seed,
-    samples), so nested bands yield monotone radii.
+    samples), so nested bands yield monotone radii.  z comes from
+    canonicalize or parse_point under cfg.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -756,7 +751,6 @@ def ball_inclusion_radius(
     sheets = sorted(set(int(s) for s in band_sheets))
     if any(s < 0 or s > cfg.sheets for s in sheets) or not sheets:
         raise ValueError(f"band sheets must be a nonempty subset of [0, {cfg.sheets}]")
-    z = recanonicalize(cfg, z)
     if not (r1 < abs(z.coord) < r2) or z.sheet not in sheets:
         raise ValueError("centre must lie strictly inside the compact region")
 

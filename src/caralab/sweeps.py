@@ -36,6 +36,7 @@ n_max.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
@@ -864,13 +865,16 @@ def verify_final_chain(R: float, n_max: int) -> SweepResult:
     passed = threshold is not None
     notes = []
     if threshold is not None:
-        base = 1.0 - K / 2 ** n_max
-        left_val = abs(base) ** (2 ** n_max)
+        base = 1.0 - K / 2 ** n_max  # > 0 from the threshold on
+        log_left = 2 ** n_max * math.log(base)
         target = math.exp(-K)
-        # |left_val / e^-K - 1| in log space: e^-K underflows to 0 past
-        # R ~ 1e300, and base > 0 from the threshold on.
-        dev = abs(math.expm1(2 ** n_max * math.log(base) + K))
-        notes.append(f"left endpoint at n={n_max}: {left_val:.9g} vs e^-K={target:.9g}")
+        # |left / e^-K - 1| in log space.  e^-K is subnormal past R ~ 1e154
+        # and 0 past R ~ 1e162, where the note gives both values as logs.
+        dev = abs(math.expm1(log_left + K))
+        if target < sys.float_info.min:
+            notes.append(f"log left endpoint at n={n_max}: {log_left:.9g} vs -K={-K:.9g}")
+        else:
+            notes.append(f"left endpoint at n={n_max}: {base ** 2 ** n_max:.9g} vs e^-K={target:.9g}")
         # The endpoint converges to e^-K as n grows; the 1% claim is only
         # meaningful deep into the range, so it gates the result at n >= 20.
         if dev >= 1e-2 and n_max >= 20:

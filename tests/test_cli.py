@@ -155,11 +155,13 @@ class TestVerifyLemmas:
         # e^-K(R) underflows to 0 at R = 1e300, so the left endpoint's
         # deviation from it is taken in log space: (1 - K/2^20)^(2^20) is
         # e^-0.91 times e^-K, a genuine failure of the 1 % claim at n = 20.
+        # The note gives both values as logs, as neither is a normal float.
         code, out, err = run(capsys, ["verify-lemmas", "--m-max", "2000", "--R", "1e300"])
         assert code == EXIT_VERIFICATION_FAILURE
         chain = {s["parameter_name"]: s for s in json.loads(out)["sweeps"]}["chain_n(R=1e+300)"]
         assert not chain["passed"]
-        assert chain["notes"].endswith("left endpoint deviates 5.979e-01 from e^-K(R)")
+        assert chain["notes"] == ("log left endpoint at n=20: -1382.46199 vs -K=-1381.55106; "
+                                  "left endpoint deviates 5.979e-01 from e^-K(R)")
         assert err.endswith("verification failed: chain_n(R=1e+300)\n")
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from caralab import (
     AdmissibleFunction,
     AnnulusConfig,
+    AnnulusDomainError,
     BracketOrderError,
     EvaluationEscapeError,
     GluePointIndex,
@@ -29,7 +30,6 @@ from caralab import (
     mobius_distance,
     noncompactness_probe,
     parse_point,
-    recanonicalize,
 )
 from caralab import glued as glued_module
 from caralab.disk import _CHUNK, BlaschkeProduct, DiskDomainError, _ONE_MINUS, _atanh
@@ -117,7 +117,7 @@ class TestCanonicalize:
             canonicalize(cfg, 2, complex(1.5, 1.0)),
             canonicalize(cfg, 2, glue=GluePointIndex(2, 3)),
         ):
-            assert recanonicalize(cfg, p) == p
+            assert canonicalize(cfg, p.sheet, p.coord, p.glue) == p
 
     def test_requires_some_location(self, cfg):
         with pytest.raises(ValueError):
@@ -204,6 +204,48 @@ class TestIdentifiedPoints:
                     assert p.sheet == 0 and p.glue == g
                     assert F.evaluate(cfg, p) == 0.0
                     assert evaluate_admissible(cfg, F, p) == 0.0
+
+
+class TestCanonicalPointsPassThrough:
+    """A point is canonical for the config it is used with: the glued
+    functions take it as given and canonicalize nothing again."""
+
+    def test_warm_brackets_and_probes_make_no_canonicalize_call(self, cfg, monkeypatch):
+        same = canonicalize(cfg, 4, complex(1.5, 0.5)), canonicalize(cfg, 4, complex(2.5, -1.0))
+        cross = canonicalize(cfg, 2, complex(1.4, 0.2)), canonicalize(cfg, 7, complex(3.1, -0.6))
+        seq = [canonicalize(cfg, k % 3, complex(2.0 + 0.1 * k, 0.3)) for k in range(8)]
+        runs = {
+            "same-sheet bracket": lambda: glued_distance_bracket(cfg, *same),
+            "cross-sheet bracket": lambda: glued_distance_bracket(cfg, *cross),
+            "upper bound": lambda: glued_upper_bound(cfg, *cross),
+            "completeness probe": lambda: completeness_probe(cfg, seq),
+            "evaluation": lambda: evaluate_admissible(
+                cfg, AdmissibleFunction.sheet_supported(7), cross[1]),
+        }
+        for run in runs.values():
+            run()  # warm every cache first
+        calls = []
+        real = glued_module.canonicalize
+        monkeypatch.setattr(glued_module, "canonicalize",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        counts = {}
+        for name, run in runs.items():
+            del calls[:]
+            run()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(runs, 0)
+
+    @pytest.mark.parametrize("other_sheet", [3, 5])
+    def test_a_point_outside_the_annulus_is_still_rejected(self, other_sheet):
+        # |w| = 6 is a point of A(10) but not of A(4); the annulus lower
+        # bound still checks every coordinate it is given.
+        wide = SpaceConfig(AnnulusConfig(R=10.0, family_degree=2, grid_density=2), sheets=12)
+        narrow = SpaceConfig(AnnulusConfig(R=4.0, family_degree=2, grid_density=2), sheets=12)
+        p = canonicalize(wide, 3, complex(6.0, 0.0))
+        q = canonicalize(narrow, other_sheet, complex(2.0, 0.5))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(AnnulusDomainError):
+                glued_distance_bracket(narrow, a, b)
 
 
 def whole_glue_table(R: float, n: int) -> np.ndarray:
@@ -482,7 +524,6 @@ class TestGluedBounds:
 def reference_lower_bound(cfg, p, q):
     """The glued lower bound with every sheet-supported candidate, both ends
     evaluated by the complex product B(w/R)."""
-    p, q = recanonicalize(cfg, p), recanonicalize(cfg, q)
     best, witness = annulus_lower_bound(cfg.annulus, p.coord, q.coord)
     witness = f"pullback[{witness}]"
     for t in sorted({p.sheet, q.sheet} - {0}):
@@ -493,10 +534,23 @@ def reference_lower_bound(cfg, p, q):
     return best, witness
 
 
-def full_sum_lower_bound(cfg, p, q):
+def full_own_sheet_modulus(R, pt):
+    """|B(w/R)| at pt, B the product of pt's own sheet, from the log sum over
+    all of its zeros; 0.0 for the candidates glued_lower_bound drops: w/R on
+    the circle, or a product too close to it."""
+    if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
+        return 0.0
+    try:
+        B = _sheet_blaschke(R, pt.sheet)
+    except DiskDomainError:
+        return 0.0
+    return min(math.exp(B.log_abs_at(pt.coord / R)), _ONE_MINUS)
+
+
+def full_sum_lower_bound(cfg, p, q, sums):
     """The glued lower bound with every sheet-supported candidate's log sum
-    run over all of its zeros: no early stop."""
-    p, q = recanonicalize(cfg, p), recanonicalize(cfg, q)
+    run over all of its zeros: no early stop.  sums keeps each end's full
+    sum by (R, point), so a point shared by several pairs is summed once."""
     if p == q:
         return 0.0, "trivial (identical points)"
     best, witness = annulus_lower_bound(cfg.annulus, p.coord, q.coord)
@@ -505,17 +559,10 @@ def full_sum_lower_bound(cfg, p, q):
         return best, witness
     R = cfg.annulus.R
     for pt in sorted((p, q), key=lambda pt: pt.sheet):
-        # The candidates glued_lower_bound drops: w/R on the circle, or a
-        # product too close to it.
-        if pt.sheet == 0 or abs(pt.coord / R) >= 1.0:
-            continue
-        try:
-            B = _sheet_blaschke(R, pt.sheet)
-        except DiskDomainError:
-            continue
-        v = min(math.exp(B.log_abs_at(pt.coord / R)), _ONE_MINUS)
-        if v > best:
-            best, witness = v, AdmissibleFunction.sheet_supported(pt.sheet).label
+        if (R, pt) not in sums:
+            sums[R, pt] = full_own_sheet_modulus(R, pt)
+        if sums[R, pt] > best:
+            best, witness = sums[R, pt], AdmissibleFunction.sheet_supported(pt.sheet).label
     return best, witness
 
 
@@ -583,10 +630,10 @@ class TestSheetSupportedCandidates:
                 # Equal coordinates on two sheets: the pullback bound is 0.
                 (canonicalize(deep, s, a), canonicalize(deep, t, a)),
             ]
-        wins = 0
+        wins, sums = 0, {}
         for p, q in pairs:
             value, witness = glued_lower_bound(deep, p, q)
-            assert (value, witness) == full_sum_lower_bound(deep, p, q), (p, q)
+            assert (value, witness) == full_sum_lower_bound(deep, p, q, sums), (p, q)
             wins += witness.startswith("sheet-supported")
         assert wins >= 100
 
@@ -676,8 +723,6 @@ class TestLogCeiling:
 def per_pair_upper_bound(cfg, p, q):
     """glued_upper_bound as computed pair by pair, three lift calls per
     cross-sheet pair: the reference for the many-target kernel."""
-    p = recanonicalize(cfg, p)
-    q = recanonicalize(cfg, q)
     if p == q:
         return 0.0, "trivial (identical points)"
     acf = cfg.annulus
@@ -713,7 +758,6 @@ def per_sample_ball_radius(cfg, z, band, band_sheets, samples, seed=0):
     r1, r2 = band
     R = cfg.annulus.R
     sheets = sorted(set(band_sheets))
-    z = recanonicalize(cfg, z)
     rng = np.random.default_rng(seed)
     margin = 1e-3 * (R - 1.0)
     radii = rng.uniform(1.0 + margin, R - margin, samples)
