@@ -150,12 +150,13 @@ def preimage_modulus_sq_formula(ms: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _deck_window(R: float) -> np.ndarray:
     """The deck shifts k * 2 pi^2 / ln R in L-space, |k| <= K = 1 + ceil(40 / shift),
-    as one read-only table per R, built once rather than on every lift call.
+    as one read-only table per R, for lift_enumeration.
 
-    Re L lies in a strip of width shift = 2 pi^2 / ln R, so lift k of one
-    point sits at |x| >= (|k| - 1) shift / 2 from the principal lift of
-    another, and its distance is at least tanh|x|, which rounds to 1 past
-    |x| = 20: no lift outside the window can win.
+    The principal Re L lies in [-shift/2, shift/2], shift = 2 pi^2 / ln R,
+    so lift k sits at |Re L| >= (|k| - 1/2) shift, past 40 outside the
+    window, where |z| = |tanh(L/2)| is within 2 e^-40 of 1: far inside the
+    EPS_BOUNDARY margin that lift_enumeration drops.  The distance kernel
+    needs only k in {-1, 0, 1} (lift_distances).
     """
     shift = 2.0 * math.pi ** 2 / math.log(R)
     K = 1 + math.ceil(40.0 / shift)
@@ -179,14 +180,24 @@ def _log_lift(cfg: AnnulusConfig, w) -> Tuple[np.ndarray, np.ndarray]:
 
 def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
     """Disk distances between the principal lift of one point and the deck
-    lifts of the other, broadcast over arrays of points a and b.
+    lifts k = -1, 0, 1 of the other, broadcast over arrays of points a and b.
 
-    The result has shape broadcast(a, b) + (2, 2K + 1): orientation a->b then
-    b->a, deck index k = -K..K.  Computed in L-space by the identity
+    The result has shape broadcast(a, b) + (2, 3): orientation a->b then
+    b->a, deck index k = -1..1, at every R.  Computed in L-space by the identity
     |(z1 - z2)/(1 - conj(z1) z2)| = |sinh((L1 - L2)/2)| / |cosh((conj(L1) - L2)/2)|:
     with x = Re(L1 - L2)/2, p = Im(L1 - L2)/2, q = Im(L1 + L2)/2 this is
     sqrt((sinh^2 x + sin^2 p)/(sinh^2 x + cos^2 q)); q lies in (-pi/2, pi/2),
     so the denominator never vanishes.
+
+    Why three lifts suffice: with D = Re L_a - Re L_b and shift = 2 pi^2 / ln R,
+    lift k has x_k = (D + k shift) / 2, and its distance increases in |x_k|
+    (p and q do not depend on k, and cos^2 q - sin^2 p = cos Y_a cos Y_b > 0
+    with Y = Im L in (-pi/2, pi/2)).  Re L = -(pi / ln R) arg w with arg in
+    [-pi, pi], so |D| <= shift and the nearest translate is one of
+    k = -1, 0, 1; every other k lies at least shift / 4 farther out in |x|.
+    So the minimum is bit for bit that of any wider window; where every
+    lift saturates to _ONE_MINUS, the first-index tie names k = -1 rather
+    than the window's first k.
     """
     # One lift pass over both points, stacked on a last axis (a, b).
     w = np.empty(np.broadcast(a, b).shape + (2,), dtype=complex)
@@ -195,7 +206,8 @@ def lift_distances(cfg: AnnulusConfig, a, b) -> np.ndarray:
     # Orientation axis: a->b pairs a's principal lift with b's deck lifts,
     # so the deck lifts are the stack reversed.  Swapping the points only
     # flips the sign of p and leaves q unchanged.
-    x = 0.5 * (X[..., None] - (X[..., ::-1, None] - _deck_window(cfg.R)))
+    shift = 2.0 * math.pi ** 2 / cfg.log_R
+    x = 0.5 * (X[..., None] - (X[..., ::-1, None] - np.array((-shift, 0.0, shift))))
     ya, yb = Y[..., 0, None, None], Y[..., 1, None, None]
     p, q = 0.5 * (ya - yb), 0.5 * (ya + yb)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,15 +358,14 @@ def annulus_upper_bound(cfg: AnnulusConfig, a: complex, b: complex) -> Tuple[flo
     b = _as_annulus_point(cfg, b, "b")
     d = lift_distances(cfg, a, b)
     j = int(np.argmin(d))
-    return float(d.flat[j]), _lift_witness(cfg, j)
+    return float(d.flat[j]), _lift_witness(j)
 
 
-def _lift_witness(cfg: AnnulusConfig, j: int) -> str:
-    """Witness text for flat index j of one pair's (2, 2K + 1) lift table."""
-    width = len(_deck_window(cfg.R))
-    orientation, i = divmod(j, width)
+def _lift_witness(j: int) -> str:
+    """Witness text for flat index j of one pair's (2, 3) lift table."""
+    orientation, i = divmod(j, 3)
     tag = ("a->b", "b->a")[orientation]
-    return f"lift k={i - width // 2} ({tag}) against principal lift"
+    return f"lift k={i - 1} ({tag}) against principal lift"
 
 
 def annulus_distance_bracket(cfg: AnnulusConfig, a: complex, b: complex) -> DistanceBracket:

@@ -3,9 +3,10 @@ attachment points, holomorphic test families on the quotient, and
 cross-sheet distance brackets plus non-compactness / completeness probes.
 The probes read their upper bounds from one many-target kernel
 (_upper_paths), which takes every glue-path leg it does not cache in one lift
-call; glued_upper_bound is its one-target case.  The middle glue-path leg
-between two sheets >= 1 depends only on (R, sheet pair) and is computed once
-per process into a bounded, read-only cache.  A sheet-supported lower-bound
+call; glued_upper_bound is its one-target case.  Same-sheet pairs take the
+lift minimum (_lift_minima), all of a completeness probe's in one call.  The
+middle glue-path leg between two sheets >= 1 depends only on (R, sheet pair)
+and is computed once per process into a bounded, read-only cache.  A sheet-supported lower-bound
 candidate is first held against a closed-form ceiling (_log_ceiling), which
 drops most losing ones before a zero of their product is read.
 
@@ -446,6 +447,16 @@ def _exit_point(cfg: SpaceConfig, p: SpacePoint, i: int) -> SpacePoint:
     return SpacePoint(0, complex(_exits(cfg, p)[i]), glue)
 
 
+def _lift_minima(acf: AnnulusConfig, a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper bounds between points on one sheet, broadcast over arrays of
+    coordinates: restricting quotient functions to the sheet dominates by
+    the annulus upper bound, the minimum of the lift table.  Returns the
+    minima and the flat index of each pair's winning lift."""
+    d = lift_distances(acf, a, b)
+    d = d.reshape(d.shape[:-2] + (-1,))
+    return d.min(axis=-1), d.argmin(axis=-1)
+
+
 def _poincare_upper(acf: AnnulusConfig, a, b) -> np.ndarray:
     """atanh of the annulus upper bound, broadcast over arrays of points."""
     return np.arctanh(lift_distances(acf, a, b).min(axis=(-2, -1)))
@@ -499,16 +510,11 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
             groups.setdefault(q.sheet, []).append(t)
     coords = {s: np.array([qs[t].coord for t in ts]) for s, ts in groups.items()}
 
-    def record(ts, table, to_value):
-        for i, (t, k) in enumerate(zip(ts, table.argmin(axis=1).tolist())):
-            paths.values[t], paths.where[t] = to_value(table[i, k]), k
-
     same = groups.pop(p.sheet, None)
     if same is not None:
-        # Restricting quotient functions to the sheet dominates by the
-        # annulus upper bound.
-        d = lift_distances(acf, p.coord, coords[p.sheet])
-        record(same, d.reshape(len(same), -1), float)
+        values, where = _lift_minima(acf, p.coord, coords[p.sheet])
+        for t, v, k in zip(same, values.tolist(), where.tolist()):
+            paths.values[t], paths.where[t] = v, k
     if not groups:
         return paths
 
@@ -545,8 +551,10 @@ def _upper_paths(cfg: SpaceConfig, p: SpacePoint, qs: Sequence[SpacePoint]) -> _
         else:
             mid = leg(len(rows[s])) if p.sheet == 0 else _mid_leg(acf.R, p.sheet, s)
             table = (h_p + mid) + leg(len(ts) * len(rows[s])).reshape(len(ts), 1, -1)
-        # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
-        record(ts, table.reshape(len(ts), -1), lambda x: min(math.tanh(x), _ONE_MINUS))
+        table = table.reshape(len(ts), -1)
+        for i, (t, k) in enumerate(zip(ts, table.argmin(axis=1).tolist())):
+            # tanh rounds to 1.0 once a path passes about 19; keep the open interval.
+            paths.values[t], paths.where[t] = min(math.tanh(table[i, k]), _ONE_MINUS), k
 
     # Direct non-compactness cap for the basepoint pair (sqrt(R), 0)-(sqrt(R), n).
     # The probe end is on a sheet n >= 1 = ONE_OVER_E_N0, so the cap holds.
@@ -579,7 +587,7 @@ def glued_upper_bound(cfg: SpaceConfig, p: SpacePoint, q: SpacePoint) -> Tuple[f
     if paths.capped[0]:
         return value, "2/e basepoint cap"
     if p.sheet == q.sheet:
-        return value, f"restriction[{_lift_witness(cfg.annulus, k)}]"
+        return value, f"restriction[{_lift_witness(k)}]"
     i, j = divmod(k, len(_exits(cfg, q)))
     exit_p, exit_q = _exit_point(cfg, p, i), _exit_point(cfg, q, j)
     return value, f"glue path via exits {format_point(exit_p)}; {format_point(exit_q)}"
@@ -682,7 +690,12 @@ class CompletenessReport:
 def completeness_probe(cfg: SpaceConfig, sequence: Sequence[SpacePoint]) -> CompletenessReport:
     """Report the upper-bound Cauchy modulus per tail alongside the natural-
     topology diameter of tails; flags the Cauchy-and-converging pattern.
-    The points come from canonicalize or parse_point under cfg."""
+    The points come from canonicalize or parse_point under cfg.
+
+    Every same-sheet pair takes its lift minimum in one lift call, and each
+    point's later cross-sheet targets go through _upper_paths, one call per
+    point that has any: bit for bit glued_upper_bound pair by pair.  A
+    repeated point's lift minimum is exactly 0.0."""
     seq = list(sequence)
     if len(seq) < 3:
         raise ValueError("completeness probe needs a sequence of length >= 3")
@@ -690,15 +703,24 @@ def completeness_probe(cfg: SpaceConfig, sequence: Sequence[SpacePoint]) -> Comp
     n = len(seq)
     upper = np.zeros((n, n))
     lower = np.zeros((n, n))
+    coords = np.array([p.coord for p in seq])
+    sheets = [p.sheet for p in seq]
+    rows, cols = np.triu_indices(n, 1)
+    same = np.take(sheets, rows) == np.take(sheets, cols)
+    if same.any():
+        rows, cols = rows[same], cols[same]
+        upper[rows, cols] = upper[cols, rows] = _lift_minima(
+            cfg.annulus, coords[rows], coords[cols])[0]
     for i in range(n - 1):
-        upper[i, i + 1:] = upper[i + 1:, i] = _upper_paths(cfg, seq[i], seq[i + 1:]).values
+        cross = [j for j in range(i + 1, n) if sheets[j] != sheets[i]]
+        if cross:
+            paths = _upper_paths(cfg, seq[i], [seq[j] for j in cross])
+            upper[i, cross] = upper[cross, i] = paths.values
         for j in range(i + 1, n):
             lower[i, j] = lower[j, i] = glued_lower_bound(cfg, seq[i], seq[j])[0]
-    coords = np.array([p.coord for p in seq])
     # hypot, as in abs(complex); np.abs on complex can differ in the last ulp.
     diff = coords[:, None] - coords[None, :]
     gaps = np.hypot(diff.real, diff.imag)
-    sheets = [p.sheet for p in seq]
 
     stats = [
         {

@@ -538,26 +538,42 @@ class TestFamilyMonotonicity:
         assert lower(1, d) <= lower(2, d) == lower(2, 2 * d)
 
 
+# The usual radii, then the limits R -> 1+ and large R.
+AUTOMORPHISM_RADII = (1.5, 4.0, 10.0, 1.03, 1e3, 1e12)
+
+
 class TestAutomorphismInvariance:
-    @given(annulus_pairs(), st.floats(0.0, 2.0 * math.pi))
-    @settings(max_examples=40, deadline=None)
+    @given(annulus_pairs(radii=AUTOMORPHISM_RADII), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=60, deadline=None)
     def test_rotation(self, pair, phi):
         R, a, b = pair
         cfg, u = AnnulusConfig(R=R), cmath.exp(1j * phi)
         for bound in (annulus_lower_bound, annulus_upper_bound):
             assert bound(cfg, u * a, u * b)[0] == pytest.approx(bound(cfg, a, b)[0], abs=1e-12)
 
-    @given(annulus_pairs())
-    @settings(max_examples=40, deadline=None)
+    @given(annulus_pairs(radii=AUTOMORPHISM_RADII))
+    @settings(max_examples=60, deadline=None)
     def test_inversion(self, pair):
         R, a, b = pair
         cfg = AnnulusConfig(R=R)
         for bound in (annulus_lower_bound, annulus_upper_bound):
             assert bound(cfg, R / a, R / b)[0] == pytest.approx(bound(cfg, a, b)[0], abs=1e-12)
 
+    @given(annulus_pairs(radii=AUTOMORPHISM_RADII))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugation(self, pair):
+        # w -> conj(w) is an anti-holomorphic automorphism of A(R); both
+        # distances are invariant under it.
+        R, a, b = pair
+        cfg = AnnulusConfig(R=R)
+        for bound in (annulus_lower_bound, annulus_upper_bound):
+            assert bound(cfg, a.conjugate(), b.conjugate())[0] == pytest.approx(
+                bound(cfg, a, b)[0], abs=1e-12)
+
 
 class TestLiftKernel:
-    """lift_distances against the frozen two-pass kernel, byte for byte."""
+    """lift_distances against the frozen two-pass kernel: byte for byte on
+    the three lifts it keeps, and the same minimum as the full window."""
 
     @staticmethod
     def points(R, rng, shape):
@@ -577,15 +593,59 @@ class TestLiftKernel:
             # Equal modulus, and the same point half a turn round.
             (abs(a), abs(a) * 1j), (a, -a),
         ]
+        K = len(_deck_window(R)) // 2
         guarded = 0
         for p, q in cases:
-            got, expected = lift_distances(cfg, p, q), reference_lift_distances(cfg, p, q)
+            got = lift_distances(cfg, p, q)
+            # The reference keeps its full window; k = -1, 0, 1 are its
+            # columns K - 1 .. K + 1.
+            expected = reference_lift_distances(cfg, p, q)[..., K - 1:K + 2]
             assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.shape[-2:] == (2, 3)
             assert got.tobytes() == expected.tobytes(), (p, q)
             guarded += np.count_nonzero(expected == _ONE_MINUS)
         if R < 1.5:
             # Deck shifts of 2 pi^2 / ln R ~ 2e7 put |x| far past 350.
             assert guarded > 0
+
+    @staticmethod
+    def edge_pairs(R):
+        """Pairs with D = Re L_a - Re L_b = +-shift (one end at arg pi with
+        imag +0.0, the other at -0.0 or -1e-300), coincident pairs and
+        equal-modulus pairs, in both orders."""
+        r1, r2 = R ** 0.3, R ** 0.8
+        pairs = [
+            (complex(-r1, 0.0), complex(-r2, -0.0)),
+            (complex(-r1, 0.0), complex(-r1, -0.0)),
+            (complex(-r1, 0.0), complex(-r2, -1e-300)),
+            (complex(-r2, 1e-300), complex(-r1, -1e-300)),
+            (complex(r1, r1), complex(r1, r1)),
+            (complex(-r2, 0.0), complex(-r2, 0.0)),
+            (r1 + 0j, r1 * 1j), (r1 + 0j, -r1 + 0j), (r2 * 1j, -r2 * 1j),
+            (cmath.rect(r2, 3.0), cmath.rect(r2, -3.0)),
+        ]
+        return pairs + [(b, a) for a, b in pairs]
+
+    @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.03, 1.5, 4.0, 10.0, 1e3, 1e12, 1e100])
+    def test_three_lifts_give_the_full_window_minimum(self, R):
+        cfg = AnnulusConfig(R=R)
+        rng = np.random.default_rng(61)
+        a, b = self.points(R, rng, (2, 200))
+        edge = np.array(self.edge_pairs(R)).T
+        a, b = np.concatenate([a, edge[0]]), np.concatenate([b, edge[1]])
+        got = lift_distances(cfg, a, b).reshape(len(a), -1)
+        full = reference_lift_distances(cfg, a, b).reshape(len(a), -1)
+        K = len(_deck_window(R)) // 2
+        minimum = got.min(axis=1)
+        assert minimum.tobytes() == full.min(axis=1).tobytes()
+        # (orientation, k) of the first minimum in each table.
+        kept = np.divmod(got.argmin(axis=1), 3)
+        window = np.divmod(full.argmin(axis=1), 2 * K + 1)
+        agree = (kept[0] == window[0]) & (kept[1] - 1 == window[1] - K)
+        saturated = minimum == _ONE_MINUS
+        assert np.all(agree | saturated)
+        # A saturated pair's first minimum is lift k = -1.
+        assert np.all(kept[1][saturated] == 0)
 
 
 class TestUpperBound:
@@ -628,7 +688,7 @@ class TestUpperBound:
 
     @pytest.mark.parametrize("R", [1.0 + 1e-6, 1.5, 4.0, 1e3, 1e12])
     def test_matches_scalar_scan_over_a_wider_window(self, R):
-        # No lift outside the derived window |k| <= K wins, even over 4K.
+        # No lift outside k = -1, 0, 1 wins, even over a window of |k| <= 4K.
         cfg = AnnulusConfig(R=R)
         K = 1 + math.ceil(40.0 * math.log(R) / (2.0 * math.pi ** 2))
         rng = np.random.default_rng(53)
@@ -641,7 +701,7 @@ class TestUpperBound:
             # Same arithmetic order; numpy's log, angle and sinh may round
             # differently from math's in the last place.
             assert v == pytest.approx(reference_upper_bound(R, a, b, 4 * K), abs=1e-15)
-            assert abs(int(witness.split()[1].removeprefix("k="))) <= K
+            assert abs(int(witness.split()[1].removeprefix("k="))) <= 1
 
 
 class TestNearCircle:

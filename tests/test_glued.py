@@ -881,6 +881,14 @@ class TestUpperKernel:
             float(upper[t:, t:].max()) for t in range(n - 1)
         ]
 
+    def test_a_single_sheet_completeness_probe_makes_one_lift_call(self, cfg, monkeypatch):
+        rng = np.random.default_rng(11)
+        seq = [self._point(cfg, rng, 3) for _ in range(8)]
+        calls = count_lift_calls(monkeypatch)
+        completeness_probe(cfg, seq)
+        # Every same-sheet pair in one call; row by row it would be seven.
+        assert len(calls) == 1
+
     def test_noncompactness_uppers_match_the_per_pair_bounds(self, cfg):
         rep = noncompactness_probe(cfg, cfg.sheets)
         base = canonicalize(cfg, 0, cfg.annulus.sqrt_R)

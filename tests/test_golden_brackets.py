@@ -10,7 +10,8 @@ meant to move a bound regenerates it:
     PYTHONPATH=src python tests/test_golden_brackets.py --write
 
 which prints, before it overwrites the file, how many lower values, upper
-values and witnesses moved, and the largest relative move.
+values and witnesses moved, the largest relative move, and each moved
+field of each record with its old and new value.
 """
 
 import json
@@ -143,10 +144,12 @@ def assert_matches(br, rec: dict) -> None:
 
 
 def moves(old: dict, new: dict) -> list:
-    """One line per section: how many records' lower values, upper values
-    and witnesses differ between two golden documents, and the largest
-    relative move of a bound.  Records pair up by position, so a section
-    whose inputs changed is reported as such."""
+    """Per section, one line with how many records' lower values, upper
+    values and witnesses differ between two golden documents and the
+    largest relative move of a bound, then one line per moved field: the
+    record's index, its R (annulus) or points (glued), the field, and its
+    old and new value.  Records pair up by position, so a section whose
+    inputs changed is reported as such."""
     inputs = {"annulus": ("R", "family_degree", "grid_density", "a", "b"), "glued": ("p", "q")}
     lines = []
     for key, fields in inputs.items():
@@ -155,16 +158,39 @@ def moves(old: dict, new: dict) -> list:
             lines.append(f"{key}: inputs changed ({len(before)} -> {len(after)} records)")
             continue
         moved = {side: 0 for side in ("lower", "upper", "lower_witness", "upper_witness")}
-        largest = 0.0
-        for was, now in zip(before, after):
+        largest, listing = 0.0, []
+        for index, (was, now) in enumerate(zip(before, after)):
+            where = f"R={now['R']!r}" if key == "annulus" else f"{now['p']} to {now['q']}"
             for side in moved:
-                moved[side] += was[side] != now[side]
+                if was[side] != now[side]:
+                    moved[side] += 1
+                    listing.append(f"  {key}[{index}] {where} {side}: {was[side]!r} -> {now[side]!r}")
             for side in ("lower", "upper"):
                 if was[side] != now[side]:
                     largest = max(largest, abs(now[side] - was[side]) / max(abs(was[side]), 1e-300))
         counts = ", ".join(f"{side} {n}/{len(after)}" for side, n in moved.items())
         lines.append(f"{key}: moved {counts}; largest relative move {largest:.3g}")
+        lines += listing
     return lines
+
+
+def test_moves_lists_each_moved_record():
+    rec = {"R": 1.5, "family_degree": 2, "grid_density": 3, "a": [1.2, 0.0], "b": [0.0, 1.3],
+           "lower": 0.25, "upper": 0.5, "lower_witness": "w/R", "upper_witness": "lift k=0"}
+    pair = {"p": "0:1.2", "q": "3:2", "lower": 0.1, "upper": 0.2,
+            "lower_witness": "pullback", "upper_witness": "glue path"}
+    old = {"annulus": [rec, rec], "glued": [pair]}
+    new = {"annulus": [rec, {**rec, "upper": 0.75, "upper_witness": "lift k=1"}], "glued": [pair]}
+    assert moves(old, new) == [
+        "annulus: moved lower 0/2, upper 1/2, lower_witness 0/2, upper_witness 1/2;"
+        " largest relative move 0.5",
+        "  annulus[1] R=1.5 upper: 0.5 -> 0.75",
+        "  annulus[1] R=1.5 upper_witness: 'lift k=0' -> 'lift k=1'",
+        "glued: moved lower 0/1, upper 0/1, lower_witness 0/1, upper_witness 0/1;"
+        " largest relative move 0",
+    ]
+    moved_glued = {"annulus": [rec, rec], "glued": [{**pair, "lower": 0.15}]}
+    assert moves(old, moved_glued)[-1] == "  glued[0] 0:1.2 to 3:2 lower: 0.1 -> 0.15"
 
 
 if __name__ == "__main__":
