@@ -4,9 +4,9 @@ Each sweep scans a parameter range, locates the least threshold beyond which
 its inequality holds everywhere in range, and records the worst margin.
 Sweeps are deterministic and vectorized; results serialize via to_dict().
 
-The m1 and m2 sweeps evaluate their head, the first _CHUNK indices, and
+The m1 and m2 sweeps evaluate their head, the first _HEAD indices, and
 stream every threshold and worst margin through a _SuffixScan.  Their tail,
-from H = start + _CHUNK on, is certified a priori (_window_start): past the
+from H = start + _HEAD on, is certified a priori (_window_start): past the
 head the margin is a smooth function of y = 1/m that falls to 0 with slope
 at least c in y, so it drops by at least c/(m(m-1)) from m-1 to m, and each
 float margin lies within an a priori E of it, taking numpy's elementary
@@ -20,17 +20,18 @@ last margins cover the rest (quad, the quotient, tau), and where one fails
 the sweep evaluates the whole tail, as without the certificate.
 
 The chain and 1/e sweeps read sums over the blocks m = 2^n .. 2^(n+1)-1
-(_block_sums).  A head block, n <= _HEAD_N, fits in one slice and is one
+(_block_sums).  A head block, n <= _HEAD_N, lies below _HEAD and is one
 np.sum of its terms, with an a priori radius for that sum and for the terms'
 own float errors.  Every longer block is summed in closed form
 (_series_block).  Both summands, log|x(m)| and the chain's log q_R(m), are
 odd power series in x = 1/m with radius of convergence 1/2, and
 Euler-Maclaurin gives each power sum over the block.  Such a block sum is a
 value plus an a priori error radius, which covers the dropped orders of the
-series, the Euler-Maclaurin remainder and the float evaluation.  The block
-sweeps subtract every radius outward in every link and margin.  So the
-table and the chain at each radius evaluate 2^14 - 2 indices each, whatever
-n_max.
+series, the Euler-Maclaurin remainder and the float evaluation.  From block
+_HEAD_N + 1 on, that radius is below the term-by-term one for the moduli
+and at every R from 1 + 1e-6 to 1e300.  The block sweeps subtract every
+radius outward in every link and margin.  So the table and the chain at
+each radius evaluate 2^10 - 2 indices each, whatever n_max.
 """
 
 from __future__ import annotations
@@ -63,9 +64,14 @@ ONE_OVER_E_N0 = 1
 # to about ten in the upper and lower sweeps, stay in cache.
 _CHUNK = 1 << 13
 
-# Blocks n <= _HEAD_N fit in one slice and are summed term by term; longer
-# blocks are summed in closed form (_series_block).
-_HEAD_N = _CHUNK.bit_length() - 1
+# The m1 and m2 sweeps evaluate their first _HEAD indices term by term and
+# certify the rest (_certified_walk).
+_HEAD = 1 << 10
+
+# Blocks n <= _HEAD_N, every block below _HEAD, are summed term by term;
+# longer blocks are summed in closed form (_series_block), whose radius is
+# the smaller one from block _HEAD_N + 1 on.
+_HEAD_N = _HEAD.bit_length() - 2
 
 # Largest n_max of the block sweeps: their table ends at m = 2^25 - 1.
 _N_LIMIT = 24
@@ -517,15 +523,15 @@ def _window_start(tail: int, m_max: int, slope: float, error: float) -> int:
 
 
 def _certified_walk(start: int, m_max: int, take, window) -> None:
-    """Walk a sweep's head, the first _CHUNK indices from start, then the
-    window [w, m_max], w = window(tail, *last), where tail = start + _CHUNK
+    """Walk a sweep's head, the first _HEAD indices from start, then the
+    window [w, m_max], w = window(tail, *last), where tail = start + _HEAD
     and last is what take returned for the head.
 
     take(ms, run) evaluates one slice and feeds it to the sweep's scan, after
     the run of certified parameters just before the slice when run > 0.
     Every sample pick but m_max lies in the head, and m_max ends the window.
     """
-    tail = start + _CHUNK
+    tail = start + _HEAD
     for ms in _slices(start, min(m_max, tail - 1)):
         last = take(ms, 0)
     if tail > m_max:
@@ -661,7 +667,7 @@ def verify_upper_bound_sweep(m_max: int) -> SweepResult:
     on [m1, m_max]; also checks (1-|x|^2)/2 <= 1-|x| for every m >= 2.
 
     R-independent: only the disk moduli |x(m)| are involved.  The tail past
-    the first _CHUNK indices is certified (_upper_window).
+    the first _HEAD indices is certified (_upper_window).
     """
     _check_m_max(m_max, 4)
     picks = [2, 3, 4, 10, 100, m_max]
@@ -749,7 +755,17 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
     floor tau(t) >= -(3/2)(sqrt(R)+1) ln R hold through m_max.  Side checks:
     positivity of the quotient for all m >= 3, tau(1e5) within 1% of its
     limit, and the algebraic factorization of the margin numerator.  The
-    tail past the first _CHUNK indices is certified (_lower_window).
+    tail past the first _HEAD indices is certified (_lower_window).
+
+    The factorization m(s - p) - m(s p - 1) + K(s p - 1) = tau(m) + K(s p - 1),
+    s = sqrt(R) and p = R^(1/m), is exact in the floats s, p and K, which both
+    sides share; so the two floats differ only by their roundings, and the
+    check allows 10u of the summands' size m(s + 1)(p + 1) + K(s p + 1).  The
+    direct form's m-terms round within 4u m(s + 1)(p + 1) of
+    m(s + 1)(1 - p), tau's four roundings within as much, and each side's
+    last addition within u of the size.  Cancellation leaves the sides far
+    below that size near m = m_max, so a tolerance relative to their own
+    value would fail on rounding alone.
     """
     _check_m_max(m_max, 8)
     consts = BoundConstants.for_radius(R)
@@ -790,17 +806,17 @@ def verify_lower_bound_sweep(R: float, m_max: int) -> SweepResult:
         passed = False
         notes.append(f"tau(1e5) deviates {tau_dev:.3e} from its limit")
 
-    # Margin-numerator factorization: an exact algebraic identity.  The
-    # terms scale like m, so the tolerance is relative to that scale.
+    # Margin-numerator factorization, relative to the summands' size (see
+    # the docstring for the 10u bound).
     probe_ms = np.arange(3, m_max + 1, max(1, (m_max - 2) // 64), dtype=float)
     p = np.exp(math.log(R) / probe_ms)
     direct = (
         probe_ms * (s - p) - probe_ms * (s * p - 1.0) + consts.K_of_R * (s * p - 1.0)
     )
     factored = tau(R, probe_ms) + consts.K_of_R * (s * p - 1.0)
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    fact_err = float(np.max(np.abs(direct - factored))) / scale
-    if fact_err > 1e-10:
+    size = probe_ms * (s + 1.0) * (p + 1.0) + consts.K_of_R * (s * p + 1.0)
+    fact_err = float(np.max(np.abs(direct - factored) / size))
+    if fact_err > 10.0 * _U * _SAFETY:
         passed = False
         notes.append(f"numerator factorization identity off by {fact_err:.3e}")
 

@@ -24,6 +24,7 @@ from caralab.sweeps import (
     EPS_ALGEBRAIC,
     ONE_OVER_E_N0,
     _CHUNK,
+    _HEAD,
     _HEAD_N,
     _ULPS,
     _MODULUS_SERIES,
@@ -31,6 +32,7 @@ from caralab.sweeps import (
     _SuffixScan,
     _block_log_moduli,
     _block_sums,
+    _head_block,
     _log_moduli,
     _log_quotient_series,
     _log_quotients,
@@ -233,8 +235,9 @@ def whole_array_lower_sweep(R, m_max):
     p = np.exp(math.log(R) / probe_ms)
     direct = probe_ms * (s - p) - probe_ms * (s * p - 1.0) + consts.K_of_R * (s * p - 1.0)
     factored = tau(R, probe_ms) + consts.K_of_R * (s * p - 1.0)
-    fact_err = float(np.max(np.abs(direct - factored))) / max(1.0, float(np.max(np.abs(direct))))
-    if fact_err > 1e-10:
+    size = probe_ms * (s + 1.0) * (p + 1.0) + consts.K_of_R * (s * p + 1.0)
+    fact_err = float(np.max(np.abs(direct - factored) / size))
+    if fact_err > 10.0 * 2.0 ** -53 * (1.0 + 2.0 ** -20):
         passed = False
         notes.append(f"numerator factorization identity off by {fact_err:.3e}")
     return {
@@ -415,9 +418,9 @@ def sweep_and_reference(R, m_max):
 
 # m = 1/y for each y the certificates are checked at: the head's last index
 # and on out to 10^8.
-TAIL_INDICES = sorted({_CHUNK + 1, _CHUNK + 2, _CHUNK + 3, 10 ** 4, 12_345, 10 ** 5, 314_159,
+TAIL_INDICES = sorted({_HEAD + 1, _HEAD + 2, _HEAD + 3, 10 ** 4, 12_345, 10 ** 5, 314_159,
                        10 ** 6, 2_718_281, 10 ** 7, 10 ** 8}
-                      | {int(m) for m in np.geomspace(_CHUNK + 1, 10 ** 8, 120)})
+                      | {int(m) for m in np.geomspace(_HEAD + 1, 10 ** 8, 120)})
 
 
 def exact_upper_margins(m):
@@ -446,24 +449,24 @@ class TestTailCertificate:
         assert main(["verify-lemmas", "--R", "1.5", "--R", "4", "--R", "10"]) == EXIT_OK
         capsys.readouterr()
         assert set(counted) == {"m1", 1.5, 4.0, 10.0}
-        assert all(n <= _CHUNK + 8 for n in counted.values())
+        assert all(n <= _HEAD + 8 for n in counted.values())
 
     def test_a_thin_annulus_walks_its_window(self, monkeypatch):
         # At R = 1 + 1e-6 the floats round out of order from m ~ 2e4 on.
         counted = kernel_counts(monkeypatch)
         verify_lower_bound_sweep(1.0 + 1e-6, 10 ** 6)
-        assert 9 * 10 ** 5 < counted[1.0 + 1e-6] < 10 ** 6 - 2 - _CHUNK
+        assert 9 * 10 ** 5 < counted[1.0 + 1e-6] < 10 ** 6 - 2 - _HEAD
 
     @pytest.mark.parametrize("R", [None, 1.5, 4.0], ids=["m1", "m2-1.5", "m2-4"])
     def test_a_window_inside_the_range_matches_the_reference(self, monkeypatch, R):
         # 2^23 ulps put the window's start near 10^4 to 1.75e4: the sweep
-        # takes [_CHUNK + start, w) as one run and walks [w, 30,000].
+        # takes [_HEAD + start, w) as one run and walks [w, 30,000].
         monkeypatch.setattr(sweeps, "_ULPS", 2 ** 23)
         counted = kernel_counts(monkeypatch)
         got, expected = sweep_and_reference(R, 30_000)
         assert got == expected
         walked = counted["m1" if R is None else R]
-        assert _CHUNK + 1000 < walked < 30_000 - 1000
+        assert _HEAD + 1000 < walked < 30_000 - 1000
 
     @pytest.mark.parametrize("sweep, bounds, field", [
         ("m1", "_upper_bounds", "quad"), ("m1", "_upper_bounds", "elem"),
@@ -480,25 +483,25 @@ class TestTailCertificate:
         assert counted["m1" if sweep == "m1" else 4.0] == 50_000 - (1 if sweep == "m1" else 2)
 
     def test_quad_failing_past_the_head_moves_the_threshold(self, monkeypatch):
-        # quad rises in m; shifted down to cross -EPS_ALGEBRAIC between 8,999
-        # and 9,000, it fails on the head's last index and through 8,999.
+        # quad rises in m; shifted down to cross -EPS_ALGEBRAIC between 1,099
+        # and 1,100, it fails on the head's last index and through 1,099.
         kernel = sweeps._upper_terms
-        shift = float(kernel(np.array([8999.5]))[3][0])
+        shift = float(kernel(np.array([1099.5]))[3][0])
 
         def shifted(ms):
             x, rhs, lin, quad, elem = kernel(ms)
             return x, rhs, lin, quad - shift, elem
 
         monkeypatch.setattr(sweeps, "_upper_terms", shifted)
-        assert verify_upper_bound_sweep(10 ** 6).threshold_found == 9000
+        assert verify_upper_bound_sweep(10 ** 6).threshold_found == 1100
 
     def test_tau_failing_past_the_head_moves_the_threshold(self, monkeypatch):
-        # tau rises in m; shifted down to cross its floor between 8,999 and
-        # 9,000, it fails on the head's last index and through 8,999.
+        # tau rises in m; shifted down to cross its floor between 1,099 and
+        # 1,100, it fails on the head's last index and through 1,099.
         R = 4.0
         s = math.sqrt(R)
         least = -1.5 * (s + 1.0) * math.log(R) - EPS_ALGEBRAIC
-        shift = float(tau(R, 8999.5)) - least
+        shift = float(tau(R, 1099.5)) - least
         kernel = sweeps._quotient_and_tau
 
         def shifted(R, ms):
@@ -506,10 +509,10 @@ class TestTailCertificate:
             return q, tau_ms - shift
 
         monkeypatch.setattr(sweeps, "_quotient_and_tau", shifted)
-        assert verify_lower_bound_sweep(R, 10 ** 6).threshold_found == 9000
+        assert verify_lower_bound_sweep(R, 10 ** 6).threshold_found == 1100
 
     def test_the_m1_bounds_hold_against_40_digit_margins(self):
-        bounds = _upper_bounds(1.0 / (_CHUNK + 1))
+        bounds = _upper_bounds(1.0 / (_HEAD + 1))
         floats = _upper_terms(np.array(TAIL_INDICES, dtype=float))[2:]
         errors = [max(abs(float(f[i]) - float(e)) for i, e in enumerate(exact))
                   for f, exact in zip(floats, zip(*map(exact_upper_margins, TAIL_INDICES)))]
@@ -523,7 +526,7 @@ class TestTailCertificate:
     @pytest.mark.parametrize("R", TAIL_RADII)
     def test_the_m2_bounds_hold_against_40_digit_terms(self, R):
         K = BoundConstants.for_radius(R).K_of_R
-        bounds = _lower_bounds(R, K, 1.0 / (_CHUNK + 2))  # the m2 head ends at _CHUNK + 2
+        bounds = _lower_bounds(R, K, 1.0 / (_HEAD + 2))  # the m2 head ends at _HEAD + 2
         ms = np.array([m + 1 for m in TAIL_INDICES], dtype=float)
         q, tau_ms = _quotient_and_tau(R, ms)
         margin = q - (1.0 - K / ms)
@@ -684,6 +687,28 @@ class TestLowerBoundSweep:
         with pytest.raises(ValueError):
             verify_lower_bound_sweep(4.0, 4)
 
+    @pytest.mark.parametrize("R", ["1.025", "1.03", "1.05"])
+    def test_thin_radii_pass_the_factorization_check(self, capsys, R):
+        # Near m = 10^6 the numerator cancels to about 0.1 while its
+        # summands are about 10^4 in size; their rounding alone once failed
+        # a check relative to the numerator's own value.
+        assert main(["verify-lemmas", "--R", R]) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("R", [1.03, 1.5, 4.0, 10.0])
+    def test_a_wrong_factorization_fails_the_check(self, monkeypatch, R):
+        # tau with (sqrt(R) - 1) for (sqrt(R) + 1) breaks the identity by
+        # 10^12 to 10^14 times the check's 10u bound at these radii.
+        def wrong_tau(R, t):
+            t = np.asarray(t, dtype=float)
+            return t * (math.sqrt(R) - 1.0) * (1.0 - np.exp(math.log(R) / t))
+
+        monkeypatch.setattr(sweeps, "tau", wrong_tau)
+        res = verify_lower_bound_sweep(R, 10 ** 6)
+        assert not res.passed
+        off = float(re.search(r"factorization identity off by (\S+)", res.notes).group(1))
+        assert off > 1e9 * 10.0 * 2.0 ** -53
+
 
 class TestFinalChain:
     def test_R4_threshold_and_endpoint(self):
@@ -751,13 +776,18 @@ class TestOneOverEProducts:
 
 class TestBlockLogModuli:
     def test_block_sums_match_direct_logs(self):
-        table = _block_log_moduli(12).sums
-        assert len(table) == 12
-        for n, block_sum in enumerate(table, start=1):
-            ms = np.arange(2 ** n, 2 ** (n + 1))
-            with np.errstate(divide="ignore"):
-                direct = np.sum(-np.arctanh(np.sin(math.pi / ms)))
-            assert block_sum == float(direct)
+        # Head blocks are the float sums bit for bit; closed-form blocks lie
+        # within their radius of the 40-digit sum.
+        table = _block_log_moduli(12)
+        assert len(table.sums) == 12
+        for n, block_sum, radius in zip(range(1, 13), table.sums, table.radii):
+            if n <= _HEAD_N:
+                ms = np.arange(2 ** n, 2 ** (n + 1))
+                with np.errstate(divide="ignore"):
+                    direct = np.sum(-np.arctanh(np.sin(math.pi / ms)))
+                assert block_sum == float(direct)
+            else:
+                assert abs(block_sum - direct_block(None, n)) <= radius
 
     def test_log_moduli_are_the_logs_of_the_moduli(self):
         ms = np.arange(2, 4096)
@@ -792,8 +822,8 @@ class TestBlockLogModuli:
         ids=["moduli", "lower-quotient"],
     )
     def test_sliced_blocks_match_whole_block_sums(self, terms, series, term_error):
-        # Blocks of more than _CHUNK = 2^13 indices are summed in closed form;
-        # they agree with a float sum of every term of the block.
+        # Blocks past _HEAD_N are summed in closed form; they agree with a
+        # float sum of every term of the block.
         blocks = _block_sums(terms, series, 20, term_error)
         for n, block_sum in enumerate(blocks.sums[_HEAD_N:], start=_HEAD_N + 1):
             whole = float(np.sum(terms(np.arange(2 ** n, 2 ** (n + 1), dtype=float))))
@@ -801,7 +831,7 @@ class TestBlockLogModuli:
 
 
 THIN_TO_WIDE = [1.0 + 1e-6, 1.02, 1.5, 4.0, 10.0, 1e3, 1e6]
-LONG_BLOCKS = [14, 16, 20, 24]
+LONG_BLOCKS = [10, 11, 12, 13, 14, 16, 20, 24]
 TAYLOR_ORDER = 15
 
 
@@ -877,10 +907,23 @@ class TestClosedFormBlocks:
         blocks = (_block_log_moduli(_HEAD_N) if R is None else
                   _block_sums(lambda ms: _log_quotients(R, ms), _log_quotient_series(R), _HEAD_N,
                               lambda t: _quotient_term_error(R, t)))
-        for n in (2, 3, 4, 5, 6, 10, 11, 12, _HEAD_N):
-            reference = reference_block(R, n) if n >= 10 else direct_block(R, n)
+        for n in range(2, _HEAD_N + 1):
+            reference = direct_block(R, n)
             value, radius = blocks.sums[n - 1], blocks.radii[n - 1]
             assert abs(value - reference) <= radius <= 1e-11 * abs(value)
+
+    @pytest.mark.parametrize("R", [None] + THIN_TO_WIDE + [1e100, 1e300],
+                             ids=lambda R: "moduli" if R is None else f"q{R}")
+    def test_the_first_closed_form_block_is_the_tighter_sum(self, R):
+        # Block _HEAD_N + 1 is the first one summed in closed form, because
+        # there the closed-form radius is already the smaller one.
+        n = _HEAD_N + 1
+        if R is None:
+            term_by_term = _head_block(_log_moduli, n, _modulus_term_error)
+        else:
+            term_by_term = _head_block(lambda ms: _log_quotients(R, ms), n,
+                                       lambda t: _quotient_term_error(R, t))
+        assert _series_block(series_of(R), n)[1] <= term_by_term[1]
 
     @pytest.mark.parametrize("R", THIN_TO_WIDE)
     def test_the_chain_head_blocks_are_cancellation_free(self, R):
@@ -899,6 +942,7 @@ class TestClosedFormBlocks:
         assert blocks == ((-math.inf,), (0.0,))
 
     def test_a_default_run_evaluates_only_the_head_blocks(self, monkeypatch, capsys):
+        kernels = kernel_counts(monkeypatch)
         counted = {}
         quotients, moduli = sweeps._log_quotients, sweeps._log_moduli
 
@@ -918,7 +962,9 @@ class TestClosedFormBlocks:
         _block_log_moduli.cache_clear()
         assert main(["verify-lemmas", "--R", "1.5", "--R", "4", "--R", "10"]) == EXIT_OK
         capsys.readouterr()
-        assert counted == {key: 2 ** 14 - 2 for key in (1.5, 4.0, 10.0, "table")}
+        assert counted == {key: 2 ** (_HEAD_N + 1) - 2 for key in (1.5, 4.0, 10.0, "table")}
+        # The m1 and m2 sweeps evaluate their head and m_max.
+        assert kernels == {key: _HEAD + 1 for key in ("m1", 1.5, 4.0, 10.0)}
 
     def test_the_margins_subtract_the_radii(self, monkeypatch):
         table = _block_log_moduli(20)
